@@ -1,9 +1,9 @@
 // E21: static convergence proofs vs explicit state-space exploration.
 //
-// Prices the static stabilization prover (src/prover) against both
-// explicit ground-truth checkers on the paper's systems: synthesis plus
+// Prices the static stabilization prover (src/prover) against the
+// explicit ground-truth checker on the paper's systems: synthesis plus
 // independent certificate validation on one side, the materialized
-// TransitionGraph check and the lazy three-color DFS on the other. The
+// TransitionGraph check on the other. The
 // point of the experiment is the asymptotics: on DAG-layered programs
 // the prover's obligations are layer-local, so its cost is independent
 // of |Sigma| while every explicit method pays for the whole product
@@ -131,14 +131,13 @@ struct Row {
   bool sound = true;         // no proved-vs-ground-truth disagreement
   double static_ms = 0.0;    // synthesis + validation
   double explicit_ms = 0.0;  // materialized TransitionGraph check
-  double lazy_ms = 0.0;      // three-color DFS check
 };
 
 double speedup(const Row& r) {
   return r.static_ms > 0.0 ? r.explicit_ms / r.static_ms : 0.0;
 }
 
-/// One convergence instance: prove + validate vs both explicit checks.
+/// One convergence instance: prove + validate vs the explicit check.
 /// `budget` == 0 keeps the prover's default; the chain family passes a
 /// small one, which is the whole point of the experiment — it caps
 /// every obligation at its layer-local footprint AND routes validation
@@ -179,15 +178,10 @@ Row run_convergence(const std::string& family, const std::string& config,
   bench::Timer te;
   const prover::GroundTruth ex = prover::explicit_check(ast, *target);
   row.explicit_ms = te.ms();
-  bench::Timer tl;
-  const prover::GroundTruth lazy = prover::lazy_check(ast, *target);
-  row.lazy_ms = tl.ms();
   row.sigma = ex.states;
 
-  // Soundness: a proof the explicit graph refutes, a certificate the
-  // validator rejects, or the two ground truths disagreeing.
-  if (ex.applicable && lazy.applicable && ex.converges() != lazy.converges())
-    row.sound = false;
+  // Soundness: a proof the explicit graph refutes, or a certificate the
+  // validator rejects.
   if (row.proved && ex.applicable &&
       !(ex.converges() && (!res.certificate->closure_proved || ex.closed)))
     row.sound = false;
@@ -214,7 +208,6 @@ Row run_termination(const std::string& config, const std::string& src) {
   bool applicable = false;
   const bool truth = prover::explicit_terminates(ast, &applicable);
   row.explicit_ms = te.ms();
-  row.lazy_ms = row.explicit_ms;  // no lazy leg for whole-graph acyclicity
   if (row.proved && applicable && !truth) row.sound = false;
   if (row.proved && !row.validated) row.sound = false;
   return row;
@@ -242,7 +235,7 @@ void write_json(const char* path, const std::vector<Row>& rows) {
         << "\", \"proved\": " << (r.proved ? "true" : "false")
         << ", \"validated\": " << (r.validated ? "true" : "false")
         << ", \"static_ms\": " << r.static_ms << ", \"explicit_ms\": " << r.explicit_ms
-        << ", \"lazy_ms\": " << r.lazy_ms << ", \"speedup\": " << speedup(r)
+        << ", \"speedup\": " << speedup(r)
         << ", \"sound\": " << (r.sound ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -288,7 +281,7 @@ int main(int argc, char** argv) {
   rows.push_back(run_convergence("negative", "utr n=3", kUtr, "", false));
 
   util::Table t({"family", "config", "|Sigma|", "goal", "proved", "validated",
-                 "static ms", "explicit ms", "lazy ms", "speedup", "sound"});
+                 "static ms", "explicit ms", "speedup", "sound"});
   bool all_sound = true;
   bool expectations_met = true;
   for (const Row& r : rows) {
@@ -296,8 +289,8 @@ int main(int argc, char** argv) {
     expectations_met = expectations_met && (r.proved == r.expect_proved);
     t.add_row({r.family, r.config, std::to_string(r.sigma), r.goal,
                r.proved ? "yes" : "no", r.validated ? "yes" : "no",
-               fmt_ms(r.static_ms), fmt_ms(r.explicit_ms), fmt_ms(r.lazy_ms),
-               fmt_x(speedup(r)), r.sound ? "yes" : "NO"});
+               fmt_ms(r.static_ms), fmt_ms(r.explicit_ms), fmt_x(speedup(r)),
+               r.sound ? "yes" : "NO"});
   }
   std::printf("%s\n", t.to_string().c_str());
 

@@ -1,15 +1,14 @@
-// E24: static convergence-refinement proofs vs on-the-fly exploration.
+// E24: static convergence-refinement proofs vs explicit exploration.
 //
 // Prices the static refinement prover (src/prover/refine.hpp) against
-// the explicit engines on [C curlypreceq A] instances: per-action
+// the relation engine on [C curlypreceq A] instances: per-action
 // simulation obligations plus independent certificate validation on
-// one side, the materialized RefinementChecker and the lazy
-// OnTheFlyChecker on the other. The headline is the work ring (each
-// process takes m - 1 work steps under its privilege before passing
-// it): at n = 5, m = 8 its 1.024e8 states are far past any graph
-// budget, yet the certificate is synthesized and mode-B validated from
-// the ASTs alone — the on-the-fly engine then walks the full space to
-// confirm what the certificate already proved.
+// one side, RefinementChecker on the other. The headline is the work
+// ring (each process takes m - 1 work steps under its privilege before
+// passing it): at n = 5, m = 8 its 1.024e8 states are far past any
+// graph budget, yet the certificate is synthesized and mode-B validated
+// from the ASTs alone — the engine then generates the full space on
+// demand to confirm what the certificate already proved.
 //
 // Families:
 //   kstate    Dijkstra's K-state ring vs the abstract UTR through the
@@ -21,13 +20,13 @@
 //   wrapper   W2' (deterministic cancel) vs W2 (permissive cancel) —
 //             every action Exact.
 //   negative  forgetting work against a non-ring — the prover must
-//             refute and both explicit engines must agree.
+//             refute and the engine must agree.
 //
 //   ./bench_refine [--smoke]
 //
 // Results go to BENCH_refine.json. Exit 1 if any certificate fails the
-// independent validator or any decided verdict disagrees with an
-// explicit engine (soundness, not speed).
+// independent validator or any decided verdict disagrees with the
+// engine (soundness, not speed).
 
 #include <cstdio>
 #include <fstream>
@@ -42,7 +41,7 @@
 #include "gcl/parser.hpp"
 #include "prover/ground_truth.hpp"
 #include "prover/refine.hpp"
-#include "refinement/onthefly.hpp"
+#include "refinement/checker.hpp"
 #include "util/table.hpp"
 
 using namespace cref;
@@ -182,8 +181,8 @@ struct Row {
   std::string mode;         // A (replay) / B (symbolic) / -
   bool sound = true;        // no decided-vs-explicit disagreement
   double static_ms = 0.0;   // synthesis + validation
-  double onthefly_ms = 0.0; // lazy engine baseline (0 = not run)
-  double explicit_ms = 0.0; // eager engine baseline (0 = not run)
+  double generated_ms = 0.0; // engine over a generated C (0 = not run)
+  double explicit_ms = 0.0;  // engine over a materialized C (0 = not run)
 };
 
 std::size_t space_of(const gcl::SystemAst& ast) {
@@ -202,13 +201,13 @@ const char* verdict_name(prover::RefineVerdict v) {
 }
 
 /// One refinement instance: prove + validate, then cross-check every
-/// decided verdict against whichever explicit engines fit `cross`.
-/// `cross` == 0 skips the eager leg; `onthefly` runs the lazy leg
-/// regardless of size (the headline pays it on 1.024e8 states).
+/// decided verdict against the relation engine: materialized when both
+/// spaces fit `cross`, else (`generated`) over C generated on demand —
+/// the headline pays that on 1.024e8 states.
 Row run_instance(const std::string& family, const std::string& config,
                  const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                  const gcl::AlphaSpec& alpha, const char* expect,
-                 std::size_t cross, bool onthefly) {
+                 std::size_t cross, bool generated) {
   Row row{family, config};
   row.expect = expect;
   row.c_states = space_of(c_ast);
@@ -236,24 +235,22 @@ Row run_instance(const std::string& family, const std::string& config,
     const prover::RefineGroundTruth gt =
         prover::explicit_refinement(c_ast, a_ast, alpha, cross);
     row.explicit_ms = te.ms();
-    if (gt.applicable) {
-      row.onthefly_ms = row.explicit_ms;  // explicit_refinement runs both legs
-      if (gt.holds != gt.onthefly_holds) row.sound = false;
-      if (res.verdict != prover::RefineVerdict::Unknown && claimed != gt.holds)
-        row.sound = false;
-    }
-  } else if (onthefly) {
-    // Headline scale: only the lazy engine can walk the space.
+    if (gt.applicable && res.verdict != prover::RefineVerdict::Unknown &&
+        claimed != gt.holds)
+      row.sound = false;
+  } else if (generated) {
+    // Headline scale: |Sigma_C| is past the build limit, so the engine
+    // generates C on demand through a lazy alpha.
     const System c = gcl::compile(c_ast);
     const System a = gcl::compile(a_ast);
     Abstraction::MapFn map = [&alpha, &a_ast](const StateVec& s, StateVec& out) {
       gcl::alpha_image(alpha, a_ast, s, out);
     };
     bench::Timer tl;
-    OnTheFlyChecker ofc(c, a,
-                        Abstraction::lazy("alpha", c.space_ptr(), a.space_ptr(), map));
-    const bool holds = ofc.convergence_refinement().holds;
-    row.onthefly_ms = tl.ms();
+    const RefinementChecker rc(c, a,
+                               Abstraction::lazy("alpha", c.space_ptr(), a.space_ptr(), map));
+    const bool holds = rc.convergence_refinement().holds;
+    row.generated_ms = tl.ms();
     if (res.verdict != prover::RefineVerdict::Unknown && claimed != holds)
       row.sound = false;
   }
@@ -275,7 +272,7 @@ void write_json(const char* path, const std::vector<Row>& rows) {
         << "\", \"c_states\": " << r.c_states << ", \"verdict\": \"" << r.verdict
         << "\", \"validated\": " << (r.validated ? "true" : "false")
         << ", \"mode\": \"" << r.mode << "\", \"static_ms\": " << r.static_ms
-        << ", \"onthefly_ms\": " << r.onthefly_ms
+        << ", \"generated_ms\": " << r.generated_ms
         << ", \"explicit_ms\": " << r.explicit_ms
         << ", \"sound\": " << (r.sound ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -288,13 +285,13 @@ void write_json(const char* path, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv, {"smoke"});
   const bool smoke = cli.has("smoke");
-  bench::header("E24", "static refinement certificates vs on-the-fly checking");
+  bench::header("E24", "static refinement certificates vs explicit checking");
 
   std::vector<Row> rows;
   const std::size_t kCross = 1ull << 22;
 
   // kstate vs UTR through the privilege map: mode-A certificates with
-  // compressed rows; both explicit engines confirm.
+  // compressed rows; the engine confirms.
   for (int n : smoke ? std::vector<int>{4} : std::vector<int>{4, 5}) {
     const gcl::SystemAst c = gcl::parse(kstate_gcl(5, n));
     const gcl::SystemAst a = gcl::parse(utr_gcl(n));
@@ -305,7 +302,7 @@ int main(int argc, char** argv) {
 
   // work ring vs kstate: mode-B certificates, Sigma grows (5m)^n. The
   // small shapes are explicitly confirmed; the full run adds the
-  // 1.024e8-state acceptance instance with the on-the-fly baseline.
+  // 1.024e8-state acceptance instance, confirmed over a generated C.
   struct Shape { int n, m; bool cross; };
   const std::vector<Shape> shapes =
       smoke ? std::vector<Shape>{{3, 2, true}, {5, 8, false}}
@@ -336,7 +333,7 @@ int main(int argc, char** argv) {
   }
 
   util::Table t({"family", "config", "|Sigma_C|", "verdict", "validated", "mode",
-                 "static ms", "onthefly ms", "explicit ms", "sound"});
+                 "static ms", "generated ms", "explicit ms", "sound"});
   bool all_sound = true;
   bool expectations_met = true;
   for (const Row& r : rows) {
@@ -344,21 +341,22 @@ int main(int argc, char** argv) {
     expectations_met = expectations_met && r.verdict == r.expect;
     t.add_row({r.family, r.config, std::to_string(r.c_states), r.verdict,
                bench::yesno(r.validated), r.mode, fmt_ms(r.static_ms),
-               fmt_ms(r.onthefly_ms), fmt_ms(r.explicit_ms),
+               fmt_ms(r.generated_ms), fmt_ms(r.explicit_ms),
                r.sound ? "yes" : "NO"});
   }
   std::printf("%s\n", t.to_string().c_str());
 
   // The acceptance instance: the 1.024e8-state work ring is certified
-  // statically; in the full run the on-the-fly engine must confirm it.
+  // statically; in the full run the engine must confirm it over a
+  // generated C.
   for (const Row& r : rows) {
     if (r.family == "workring" && r.config == "n=5 m=8") {
       const bool ok = r.verdict == "proved" && r.validated && r.mode == "B" && r.sound;
       std::printf("acceptance (work ring n=5 m=8, %zu states): static %.3f ms, "
                   "mode-%s validated%s -> %s\n",
                   r.c_states, r.static_ms, r.mode.c_str(),
-                  r.onthefly_ms > 0
-                      ? (" , on-the-fly confirmed in " + fmt_ms(r.onthefly_ms) + " ms").c_str()
+                  r.generated_ms > 0
+                      ? (" , engine confirmed in " + fmt_ms(r.generated_ms) + " ms").c_str()
                       : " (baseline skipped in --smoke)",
                   ok ? "PASS" : "FAIL");
     }
@@ -367,8 +365,8 @@ int main(int argc, char** argv) {
   write_json("BENCH_refine.json", rows);
   std::printf("wrote BENCH_refine.json\n");
   if (!all_sound) {
-    std::fprintf(stderr, "FAIL: a refinement verdict disagreed with an explicit "
-                         "engine or failed validation (see table)\n");
+    std::fprintf(stderr, "FAIL: a refinement verdict disagreed with the engine or "
+                         "failed validation (see table)\n");
     return 1;
   }
   if (!expectations_met) {

@@ -31,7 +31,7 @@ class Abstraction {
 
   /// Wraps the mapping WITHOUT materializing the table: images are
   /// computed on demand (decode, map, encode). This is the only viable
-  /// mode at on-the-fly scale — an eager table over a 10^8-state
+  /// mode for a generated source — an eager table over a 10^8-state
   /// concrete space is 800 MB before the engine has done anything.
   /// Hot loops should go through apply_into with reused buffers.
   static Abstraction lazy(std::string name, SpacePtr from, SpacePtr to, MapFn map);

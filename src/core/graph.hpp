@@ -21,6 +21,10 @@ class TransitionGraph {
   /// An empty graph (0 states); assign a built graph over it.
   TransitionGraph() : offsets_(1, 0) {}
 
+  /// Default cap on |Sigma| for build(): past it the CSR (8-byte offsets
+  /// plus 8 bytes per edge) is too large to materialize by accident.
+  static constexpr StateId kDefaultMaxStates = StateId{1} << 26;
+
   /// Explores every state of `sys.space()` and records its successors,
   /// writing straight into the final CSR arrays. With more than one
   /// resolved thread the exploration is a two-pass (count, then fill)
@@ -31,11 +35,11 @@ class TransitionGraph {
   /// `max_states` (guard against accidentally materializing an
   /// astronomically large Sigma).
   static TransitionGraph build(const System& sys, const EngineOptions& opts,
-                               StateId max_states = (1ull << 26));
+                               StateId max_states = kDefaultMaxStates);
 
   /// Convenience overload: default EngineOptions (one worker per
   /// hardware thread).
-  static TransitionGraph build(const System& sys, StateId max_states = (1ull << 26)) {
+  static TransitionGraph build(const System& sys, StateId max_states = kDefaultMaxStates) {
     return build(sys, EngineOptions{}, max_states);
   }
 

@@ -59,7 +59,7 @@ class System {
 
   /// Evaluates the initial predicate on a packed state, decoding into
   /// `scratch.decoded` (allocation-free after warm-up). This is how the
-  /// on-the-fly engine materializes its initial-region bitset: a scan of
+  /// relation engine finds I_C of a generated source: a scan of
   /// Sigma through this overload, never through the initial_states()
   /// vector (which would be huge and is not thread-safe to first-call
   /// concurrently). Precondition: has_initial().

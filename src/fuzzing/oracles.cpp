@@ -1,5 +1,7 @@
 #include "fuzzing/oracles.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -18,7 +20,6 @@
 #include "refinement/certificate.hpp"
 #include "refinement/checker.hpp"
 #include "refinement/equivalence.hpp"
-#include "refinement/onthefly.hpp"
 #include "refinement/reachability.hpp"
 #include "refinement/random_systems.hpp"
 #include "service/service.hpp"
@@ -134,36 +135,6 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
     if (se.exact != pe.exact || se.stutter != pe.stutter || se.compressed != pe.compressed ||
         se.invalid != pe.invalid)
       add("serial-parallel", "EdgeStats differ between serial and parallel engines");
-  }
-
-  // ---- onthefly-vs-explicit ---------------------------------------
-  {
-    ++st.onthefly_compared;
-    OnTheFlyChecker fly(ev.c, fc.a, ev.c_init, fc.a_init, fc.alpha);
-    const RelationResult fr[5] = {{"refinement_init", fly.refinement_init()},
-                                  {"everywhere", fly.everywhere_refinement()},
-                                  {"convergence", fly.convergence_refinement()},
-                                  {"eventually", fly.everywhere_eventually_refinement()},
-                                  {"stabilizing", fly.stabilizing_to()}};
-    for (std::size_t i = 0; i < sr.size(); ++i) {
-      if (sr[i].r.holds != fr[i].r.holds)
-        add("onthefly-vs-explicit", std::string(sr[i].name) + ": explicit " +
-                                        yn(sr[i].r.holds) + " but on-the-fly " +
-                                        yn(fr[i].r.holds));
-      else if (sr[i].r.reason != fr[i].r.reason)
-        add("onthefly-vs-explicit",
-            std::string(sr[i].name) + ": reasons differ (explicit \"" + sr[i].r.reason +
-                "\" vs on-the-fly \"" + fr[i].r.reason + "\")");
-      else if (sr[i].r.witness.states != fr[i].r.witness.states)
-        add("onthefly-vs-explicit",
-            std::string(sr[i].name) + ": witnesses differ (explicit " +
-                sr[i].r.witness.format_ids() + " vs on-the-fly " +
-                fr[i].r.witness.format_ids() + ")");
-    }
-    const EdgeStats se = serial.edge_stats(), fe = fly.edge_stats();
-    if (se.exact != fe.exact || se.stutter != fe.stutter || se.compressed != fe.compressed ||
-        se.invalid != fe.invalid)
-      add("onthefly-vs-explicit", "EdgeStats differ between explicit and on-the-fly engines");
   }
 
   // ---- witness-path -----------------------------------------------
@@ -546,9 +517,14 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
   // what the fuzz generators can draw. Uses the true case (not the
   // engine view): the oracle pins the service's self-consistency.
   {
+    // The process id keeps the directory private: concurrent fuzz
+    // processes (ctest -j runs each test as one) draw the same
+    // (strategy, seed) cases and would otherwise delete each other's
+    // entries mid-run.
     const std::string dir =
         (std::filesystem::temp_directory_path() /
-         ("cref-fuzz-cache-" + fc.strategy + "-" + std::to_string(fc.seed)))
+         ("cref-fuzz-cache-" + std::to_string(::getpid()) + "-" + fc.strategy + "-" +
+          std::to_string(fc.seed)))
             .string();
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
@@ -663,7 +639,7 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
   // The static refinement prover on (C, A, identity) and the
   // guaranteed-well-formed reflexive instance (C, C, identity).
   // Proved must survive the independent validator AND be confirmed by
-  // BOTH explicit engines; Refuted must be confirmed failing. Unknown
+  // the relation engine; Refuted must be confirmed failing. Unknown
   // is incompleteness, never flagged. Identity maps that do not
   // resolve (A has a variable C lacks) make the instance inapplicable.
   if (fc.from_gcl()) {
@@ -696,18 +672,12 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
         const prover::RefineGroundTruth gt =
             prover::explicit_refinement(c_ast, a_ast, alpha);
         if (!gt.applicable) return;
-        if (gt.holds != gt.onthefly_holds) {
-          add("refine-soundness",
-              std::string(label) +
-                  ": explicit and on-the-fly engines disagree on [C <~ A]");
-          return;
-        }
         const bool claimed = r.verdict == prover::RefineVerdict::Proved;
         if (claimed != gt.holds)
           add("refine-soundness",
               std::string(label) + ": static prover says [C <~ A] " +
-                  (claimed ? "holds but both explicit engines refute it"
-                           : "fails but both explicit engines confirm it"));
+                  (claimed ? "holds but the relation engine refutes it"
+                           : "fails but the relation engine confirms it"));
         else
           ++st.refine_confirmed;
       } catch (const std::exception& e) {

@@ -8,11 +8,6 @@
 //   serial-parallel         multi-threaded engine bit-identical to the
 //                           serial one (verdict, reason, witness,
 //                           EdgeStats)
-//   onthefly-vs-explicit    the on-the-fly SCC-quotient engine
-//                           (OnTheFlyChecker) bit-identical to the
-//                           explicit serial engine on all five
-//                           relations (verdict, reason, witness,
-//                           EdgeStats)
 //   witness-path            every failing verdict's witness is a real
 //                           path/cycle of C
 //   certificate             stabilizing => make_certificate validates;
@@ -64,11 +59,11 @@
 //                           (prover/refine.hpp) on (C, A, identity)
 //                           and (C, C, identity): every Proved
 //                           certificate passes the independent
-//                           validator AND the explicit + on-the-fly
-//                           engines confirm [C <~ A]; every Refuted is
+//                           validator AND the relation engine
+//                           confirms [C <~ A]; every Refuted is
 //                           confirmed failing. Unknown is allowed
 //                           (incompleteness); a contradiction with
-//                           either engine is fatal (GCL cases)
+//                           the engine is fatal (GCL cases)
 //
 // For harness self-tests, an InjectedBug perturbs the inputs the ENGINE
 // sees (the reference always sees the true case) — simulating a defect
@@ -121,7 +116,6 @@ struct OracleStats {
   std::size_t reference_checked = 0;
   std::size_t reference_skipped = 0;   // over max_reference_states
   std::size_t parallel_compared = 0;
-  std::size_t onthefly_compared = 0;
   std::size_t certificates_validated = 0;
   std::size_t mutations_rejected = 0;
   std::size_t walks_checked = 0;
@@ -136,7 +130,7 @@ struct OracleStats {
   std::size_t prover_confirmed = 0;    // proofs confirmed by explicit ground truth
   std::size_t refine_attempts = 0;     // static refinement instances tried
   std::size_t refine_decided = 0;      // instances decided (Proved or Refuted)
-  std::size_t refine_confirmed = 0;    // decisions both explicit engines confirmed
+  std::size_t refine_confirmed = 0;    // decisions the relation engine confirmed
   std::size_t cache_jobs = 0;          // service jobs run cold (5 per case)
   std::size_t cache_hits_validated = 0;  // warm/disk hits served off a revalidated cert
 };

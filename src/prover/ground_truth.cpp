@@ -8,7 +8,6 @@
 #include "core/system.hpp"
 #include "gcl/compile.hpp"
 #include "refinement/checker.hpp"
-#include "refinement/onthefly.hpp"
 
 namespace cref::prover {
 namespace {
@@ -70,72 +69,6 @@ GroundTruth explicit_check(const gcl::SystemAst& ast, const gcl::Expr& target,
   return gt;
 }
 
-GroundTruth lazy_check(const gcl::SystemAst& ast, const gcl::Expr& target,
-                       std::size_t max_states) {
-  GroundTruth gt;
-  const System sys = gcl::compile(ast);
-  const std::size_t total = sys.space().size();
-  if (total > max_states) return gt;
-  gt.applicable = true;
-  gt.states = total;
-
-  const std::vector<char> in_p = target_mask(sys, target);
-  SuccessorScratch scratch;
-
-  gt.closed = true;
-  gt.no_deadlock_outside = true;
-  for (StateId s = 0; s < total; ++s) {
-    scratch.out.clear();
-    const std::size_t k = sys.successors_into(s, scratch);
-    gt.edges += k;
-    if (in_p[s]) {
-      for (StateId t : scratch.out)
-        if (!in_p[t]) gt.closed = false;
-    } else if (k == 0) {
-      gt.no_deadlock_outside = false;
-    }
-  }
-
-  // Iterative three-color DFS over the outside-target subrelation:
-  // a gray-on-gray edge is a cycle.
-  enum : char { kWhite = 0, kGray = 1, kBlack = 2 };
-  std::vector<char> color(total, kWhite);
-  struct Frame {
-    StateId s;
-    std::vector<StateId> succ;
-    std::size_t next = 0;
-  };
-  gt.acyclic_outside = true;
-  std::vector<Frame> stack;
-  for (StateId root = 0; root < total && gt.acyclic_outside; ++root) {
-    if (in_p[root] || color[root] != kWhite) continue;
-    auto push = [&](StateId s) {
-      color[s] = kGray;
-      scratch.out.clear();
-      sys.successors_into(s, scratch);
-      Frame f{s, {}, 0};
-      for (StateId t : scratch.out)
-        if (!in_p[t]) f.succ.push_back(t);
-      stack.push_back(std::move(f));
-    };
-    push(root);
-    while (!stack.empty() && gt.acyclic_outside) {
-      Frame& f = stack.back();
-      if (f.next < f.succ.size()) {
-        const StateId t = f.succ[f.next++];
-        if (color[t] == kGray)
-          gt.acyclic_outside = false;
-        else if (color[t] == kWhite)
-          push(t);
-      } else {
-        color[f.s] = kBlack;
-        stack.pop_back();
-      }
-    }
-  }
-  return gt;
-}
-
 bool explicit_terminates(const gcl::SystemAst& ast, bool* applicable,
                          std::size_t max_states) {
   const System sys = gcl::compile(ast);
@@ -171,17 +104,14 @@ RefineGroundTruth explicit_refinement(const gcl::SystemAst& c_ast,
   if (gt.c_states > max_states || gt.a_states > max_states) return gt;
   gt.applicable = true;
 
-  // The map function borrows alpha/a_ast from the caller; both
-  // abstractions below die before this function returns.
+  // The map function borrows alpha/a_ast from the caller; the
+  // abstraction dies before this function returns.
   Abstraction::MapFn map = [&alpha, &a_ast](const StateVec& s, StateVec& out) {
     gcl::alpha_image(alpha, a_ast, s, out);
   };
   RefinementChecker rc(c, a,
                        Abstraction("alpha", c.space_ptr(), a.space_ptr(), map));
   gt.holds = rc.convergence_refinement().holds;
-  OnTheFlyChecker ofc(c, a,
-                      Abstraction::lazy("alpha", c.space_ptr(), a.space_ptr(), map));
-  gt.onthefly_holds = ofc.convergence_refinement().holds;
   return gt;
 }
 

@@ -37,13 +37,6 @@ struct GroundTruth {
 GroundTruth explicit_check(const gcl::SystemAst& ast, const gcl::Expr& target,
                            std::size_t max_states = std::size_t{1} << 22);
 
-/// The same verdict without ever materializing the graph: an iterative
-/// three-color DFS over System::successors_into. Exists so the two
-/// implementations can cross-check each other in tests and so benches
-/// can price the certificate against the cheapest explicit method too.
-GroundTruth lazy_check(const gcl::SystemAst& ast, const gcl::Expr& target,
-                       std::size_t max_states = std::size_t{1} << 22);
-
 /// Every computation finite == the WHOLE transition relation is acyclic.
 /// `applicable` (if non-null) reports whether Sigma fit the cap; the
 /// return value is meaningful only when it did.
@@ -51,16 +44,13 @@ bool explicit_terminates(const gcl::SystemAst& ast, bool* applicable = nullptr,
                          std::size_t max_states = std::size_t{1} << 22);
 
 /// Ground truth for the static refinement prover (prover/refine.hpp):
-/// [C <~ A] through `alpha`, decided by BOTH explicit engines — the
-/// materialized RefinementChecker and the on-the-fly SCC-quotient
-/// checker — so a static verdict is held against two independent
-/// implementations at once. A static Proved that `holds` refutes (or
-/// a Refuted that it confirms) is a soundness bug; the two engines
-/// disagreeing with each other is an engine bug either way.
+/// [C <~ A] through `alpha`, decided by the relation engine
+/// (RefinementChecker) on the explored state spaces. A static Proved
+/// that `holds` refutes (or a Refuted that it confirms) is a soundness
+/// bug.
 struct RefineGroundTruth {
-  bool applicable = false;     // both spaces fit the cap and were explored
-  bool holds = false;          // explicit convergence_refinement verdict
-  bool onthefly_holds = false; // on-the-fly verdict (engine bug unless == holds)
+  bool applicable = false;  // both spaces fit the cap and were explored
+  bool holds = false;       // convergence_refinement verdict
   std::size_t c_states = 0;
   std::size_t a_states = 0;
 };

@@ -167,7 +167,7 @@ struct RefineResult {
 /// Decides [C curlypreceq A] through `alpha` statically. Sound both
 /// ways: Proved implies the explicit checker accepts, Refuted implies
 /// it rejects (the refine-soundness fuzz oracle holds this against the
-/// explicit + on-the-fly engines).
+/// relation engine).
 RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                               const gcl::AlphaSpec& alpha, const RefineOptions& opts = {});
 

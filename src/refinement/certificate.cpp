@@ -8,9 +8,8 @@ namespace cref {
 
 std::optional<StabilizationCertificate> make_certificate(const RefinementChecker& rc) {
   if (!rc.stabilizing_to().holds) return std::nullopt;
-  const TransitionGraph& c = rc.c_graph();
   const TransitionGraph& a = rc.a_graph();
-  const StateId cn = c.num_states();
+  const StateId cn = rc.num_states();
   const StateId an = a.num_states();
 
   StabilizationCertificate cert;
@@ -46,24 +45,9 @@ std::optional<StabilizationCertificate> make_certificate(const RefinementChecker
 
   // sigma: longest-path index of the global subgraph of stutter edges
   // with non-A-deadlock images (acyclic by the stabilization verdict).
-  std::vector<std::pair<StateId, StateId>> stutter_edges;
-  for (StateId s = 0; s < cn; ++s)
-    for (StateId t : c.successors(s)) {
-      StateId img = rc.image(s);
-      if (img == rc.image(t) && !a.is_deadlock(img)) stutter_edges.emplace_back(s, t);
-    }
-  cert.sigma.assign(cn, 0);
-  if (!stutter_edges.empty()) {
-    TransitionGraph sub = TransitionGraph::from_edges(cn, std::move(stutter_edges));
-    Scc order(sub);  // DAG: every component is a singleton; ids reverse-topological
-    std::vector<StateId> by_comp(cn);
-    for (StateId s = 0; s < cn; ++s) by_comp[order.component(s)] = s;
-    for (std::size_t comp = 0; comp < order.count(); ++comp) {
-      StateId s = by_comp[comp];
-      for (StateId t : sub.successors(s))
-        cert.sigma[s] = std::max(cert.sigma[s], cert.sigma[t] + 1);
-    }
-  }
+  auto sigma = rc.stutter_rank();
+  if (!sigma) return std::nullopt;
+  cert.sigma = std::move(*sigma);
   return cert;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -39,19 +39,35 @@ namespace cref {
 /// image state is an A-deadlock — such "divergence" is therefore a
 /// violation except at A-deadlock images.
 ///
+/// Successor source: C is read through one of two sources, and every
+/// scan, search and witness below is written once against it.
+///   - materialized: a CSR (TransitionGraph) plus an alpha table — the
+///     graph-taking constructor, and the System-taking ones whenever
+///     TransitionGraph::build accepts |Sigma_C| (kDefaultMaxStates);
+///   - generated: successor lists produced on demand from the System's
+///     guarded commands (its absint state filter pruning exactly as the
+///     CSR build prunes) and images through the Abstraction (lazy ones
+///     stay lazy) — the System-taking constructors above that limit, and
+///     generated() at any size. Memory is then O(|Sigma_C|) bits plus
+///     4 bytes per state during an SCC decomposition.
+/// A is the specification side and is always materialized.
+///
 /// Engine: the shared read-only structures (C-side SCC, A-side SCC +
-/// condensation closure, R_A, the reversed C graph) are built once,
-/// thread-safely, on first use; the per-check scans over T_C then run
+/// condensation closure, R_A, I_C, the reversed C graph) are built once,
+/// thread-safely, on first read — a check whose edges are all Exact or
+/// Stutter never builds either SCC. The per-check scans over T_C run
 /// across an EngineOptions-sized thread pool. Partial results are merged
 /// by state id (lowest violating (s, t) wins), so verdicts, EdgeStats,
 /// and counterexample witnesses are bit-identical to a single-threaded
-/// run. Checks on one instance may themselves be issued from multiple
-/// threads concurrently.
+/// run, and identical across the two sources. Checks on one instance may
+/// themselves be issued from multiple threads concurrently.
 class RefinementChecker {
  public:
-  /// Builds graphs for `c` and `a` (using `opts` for the parallel
-  /// Sigma-materialization) and checks relations through `alpha` (whose
-  /// from/to spaces must match c/a).
+  /// Checks relations between `c` and `a` through `alpha` (whose
+  /// from/to spaces must match c/a). Materializes C's graph and alpha
+  /// table (using `opts` for the parallel Sigma build) when |Sigma_C| is
+  /// within TransitionGraph::kDefaultMaxStates, and generates C on demand
+  /// above it; throws std::length_error past 2^32 - 1 states.
   RefinementChecker(const System& c, const System& a, Abstraction alpha,
                     const EngineOptions& opts = {});
 
@@ -63,6 +79,13 @@ class RefinementChecker {
   /// C-state to an A-state; empty means identity (same state count).
   RefinementChecker(TransitionGraph c, TransitionGraph a, std::vector<StateId> c_init,
                     std::vector<StateId> a_init, std::vector<StateId> alpha_table = {});
+
+  /// A checker that generates C on demand whatever its size — what the
+  /// System-taking constructor does above the build limit. Exists so
+  /// tests and benches can cover the generated source on spaces small
+  /// enough to cross-check. Holds copies of `c` and `alpha`.
+  static RefinementChecker generated(const System& c, const System& a, Abstraction alpha,
+                                     const EngineOptions& opts = {});
 
   /// [C subseteq A]_init — every computation of C that starts from an
   /// initial state of C is (after stutter-collapse of its image) a
@@ -140,18 +163,40 @@ class RefinementChecker {
     absint_ms_.fetch_add(ms, std::memory_order_relaxed);
   }
 
-  const TransitionGraph& c_graph() const { return c_; }
+  /// Number of C states.
+  StateId num_states() const { return n_; }
+
+  /// True if C is read from a CSR, false if it is generated on demand.
+  bool materialized() const { return !gen_; }
+
+  /// The concrete graph. Materialized sources only: throws
+  /// std::logic_error when C is generated.
+  const TransitionGraph& c_graph() const;
   const TransitionGraph& a_graph() const { return a_; }
-  const std::vector<StateId>& c_initial() const { return c_init_; }
+
+  /// Sorted initial states of C. For a generated source they come from a
+  /// parallel predicate scan over Sigma on first read (never through
+  /// System::initial_states(), whose cache is serial and not
+  /// thread-safe).
+  const std::vector<StateId>& c_initial() const;
   const std::vector<StateId>& a_initial() const { return a_init_; }
+
+  /// Successors of `s` in C, read from the source (a copy).
+  std::vector<StateId> c_successors(StateId s) const;
 
   /// The reversed concrete graph (predecessor lists), built lazily and
   /// memoized; clients walking T_C backwards (convergence-time layering)
-  /// share one copy instead of re-deriving it per query.
+  /// share one copy instead of re-deriving it per query. Materialized
+  /// sources only.
   const TransitionGraph& c_reversed() const;
 
-  /// Image of concrete state `s` under alpha.
-  StateId image(StateId s) const { return alpha_.empty() ? s : alpha_[s]; }
+  /// Image of concrete state `s` under alpha. (A generated source's
+  /// lazy alpha allocates decode buffers per call here; the scans use
+  /// per-worker buffers instead.)
+  StateId image(StateId s) const {
+    if (gen_) return gen_->alpha.apply(s);
+    return alpha_.empty() ? s : alpha_[s];
+  }
 
   /// Membership bitset of R_A = reachable(A, I_A) (computed lazily,
   /// thread-safely).
@@ -160,18 +205,45 @@ class RefinementChecker {
   /// SCC decomposition of C (computed lazily, thread-safely).
   const Scc& c_scc() const;
 
+  /// Longest-path rank sigma over the stutter subgraph: the stutter edges
+  /// of C inside `c_region` (all of Sigma_C when null) whose image is not
+  /// an A-deadlock. sigma(s) > sigma(t) on each of its edges and is 0 on
+  /// states with none. nullopt if that subgraph has a cycle (then the
+  /// relations' divergence condition fails). Certificates store it as
+  /// their stutter ranking.
+  std::optional<std::vector<std::uint64_t>> stutter_rank(
+      const util::DenseBitset* c_region = nullptr) const;
+
  private:
+  class Cursor;  // per-worker read access to the successor source (checker.cpp)
+
+  /// The generated source: C's guarded commands and the abstraction.
+  struct Generator {
+    System sys;
+    Abstraction alpha;
+  };
+
+  RefinementChecker(const System& c, const System& a, Abstraction alpha,
+                    const EngineOptions& opts, bool generate);
+
+  EdgeClass classify(StateId is, StateId it) const;
   void ensure_a_closure() const;
+  template <typename Scan>
+  auto timed_scan(Scan&& scan) const;
   CheckResult check_region(const util::DenseBitset* filter, bool allow_compressed_off_cycle,
                            bool allow_invalid_off_cycle, const char* relation_name) const;
-  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* filter) const;
+  std::optional<Scc> stutter_scc(Cursor& cur, const util::DenseBitset* c_region,
+                                 const util::DenseBitset* a_region) const;
+  std::optional<Trace> find_stutter_cycle(const util::DenseBitset* c_region,
+                                          const util::DenseBitset* a_region) const;
   Trace cycle_witness(StateId s, StateId t) const;
 
-  TransitionGraph c_;
+  TransitionGraph c_;           // materialized source
+  std::vector<StateId> alpha_;  // materialized source; empty => identity
+  std::optional<Generator> gen_;  // generated source
+  StateId n_ = 0;
   TransitionGraph a_;
-  std::vector<StateId> c_init_;
   std::vector<StateId> a_init_;
-  std::vector<StateId> alpha_;  // empty => identity
   std::string c_name_ = "C";
   std::string a_name_ = "A";
   EngineOptions opts_;
@@ -188,6 +260,8 @@ class RefinementChecker {
 
   // Lazily-built shared structures. Each is built exactly once under its
   // once_flag, so concurrent checks never race on them.
+  mutable std::once_flag c_init_once_;
+  mutable std::vector<StateId> c_init_;  // materialized: set at construction
   mutable std::once_flag a_reach_once_;
   mutable std::optional<util::DenseBitset> a_reach_;
   mutable std::once_flag c_scc_once_;

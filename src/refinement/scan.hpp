@@ -1,9 +1,8 @@
 #pragma once
 
-// Shared internals of the explicit (checker.cpp) and on-the-fly
-// (onthefly.cpp) engines: wall-clock phase accounting and the
-// deterministic parallel first-violation scan. Internal header — the
-// public surface is checker.hpp / onthefly.hpp.
+// Internals of the relation engine (checker.cpp): wall-clock phase
+// accounting and the deterministic parallel first-violation scan.
+// Internal header — the public surface is checker.hpp.
 
 #include <atomic>
 #include <chrono>
@@ -49,8 +48,8 @@ inline constexpr StateId kNoState = std::numeric_limits<StateId>::max();
 /// hit is its minimum; the shared `bound` only prunes states that can no
 /// longer beat the current minimum, never the minimum itself. The result
 /// is therefore independent of thread count and scheduling. `tid` is the
-/// dense worker index — detectors that need per-worker scratch (the
-/// on-the-fly engine's successor buffers) index it into a
+/// dense worker index — detectors that need per-worker scratch (a
+/// generated source's successor buffers) index it into a
 /// resolved_threads-sized pool.
 template <typename V, typename F>
 std::optional<V> min_state_scan(StateId n, const EngineOptions& opts, F&& per_state) {

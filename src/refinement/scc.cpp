@@ -1,76 +1,6 @@
 #include "refinement/scc.hpp"
 
-#include <limits>
-#include <stdexcept>
-
-#include "util/bitset.hpp"
-
 namespace cref {
-
-namespace {
-constexpr Scc::CompId kUndef = std::numeric_limits<Scc::CompId>::max();
-}
-
-Scc::Scc(const TransitionGraph& g) {
-  const StateId n = g.num_states();
-  if (n >= kUndef)
-    throw std::length_error("Scc: graph exceeds the 2^32 - 1 state CompId budget");
-  comp_.assign(n, kUndef);
-  std::vector<CompId> index(n, kUndef);
-  std::vector<CompId> lowlink(n, 0);
-  util::DenseBitset on_stack(n);
-  std::vector<StateId> stack;
-  CompId next_index = 0;
-
-  // Explicit DFS frame: state + position within its successor list.
-  struct Frame {
-    StateId s;
-    std::size_t child;
-  };
-  std::vector<Frame> frames;
-
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUndef) continue;
-    frames.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack.set(root);
-
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      auto succ = g.successors(f.s);
-      if (f.child < succ.size()) {
-        StateId t = succ[f.child++];
-        if (index[t] == kUndef) {
-          index[t] = lowlink[t] = next_index++;
-          stack.push_back(t);
-          on_stack.set(t);
-          frames.push_back({t, 0});
-        } else if (on_stack.test(t)) {
-          lowlink[f.s] = std::min(lowlink[f.s], index[t]);
-        }
-      } else {
-        if (lowlink[f.s] == index[f.s]) {
-          CompId c = static_cast<CompId>(count_++);
-          std::size_t members = 0;
-          StateId w;
-          do {
-            w = stack.back();
-            stack.pop_back();
-            on_stack.reset(w);
-            comp_[w] = c;
-            ++members;
-          } while (w != f.s);
-          sizes_.push_back(members);
-        }
-        StateId finished = f.s;
-        frames.pop_back();
-        if (!frames.empty())
-          lowlink[frames.back().s] = std::min(lowlink[frames.back().s], lowlink[finished]);
-      }
-    }
-  }
-}
 
 util::BitMatrix condensation_closure(const TransitionGraph& g, const Scc& scc) {
   util::BitMatrix reach(scc.count(), scc.count());
@@ -78,7 +8,7 @@ util::BitMatrix condensation_closure(const TransitionGraph& g, const Scc& scc) {
   std::vector<std::vector<StateId>> members(scc.count());
   for (StateId s = 0; s < g.num_states(); ++s) members[scc.component(s)].push_back(s);
   for (std::size_t comp = 0; comp < scc.count(); ++comp) {
-    if (scc.size_of(comp) >= 2) reach.set(comp, comp);
+    if (scc.nontrivial(comp)) reach.set(comp, comp);
     for (StateId s : members[comp]) {
       for (StateId t : g.successors(s)) {
         std::size_t ct = scc.component(t);

@@ -9,7 +9,7 @@ namespace cref::ring {
 /// Layout of the "K-state with local work" ring: Dijkstra's counters
 /// c_j in 0..K-1 plus a per-process work counter w_j in 0..m-1 for
 /// processes 0..n. The state space has (K * m)^(n+1) states — the
-/// on-the-fly engine's scale instance: n=4, K=5, m=8 is 40^5 = 1.024e8
+/// generated source's scale instance: n=4, K=5, m=8 is 40^5 = 1.024e8
 /// states, far past what a materialized CSR fits in memory, while the
 /// abstract side (K-state, UTR) stays tiny.
 ///
@@ -60,8 +60,8 @@ System make_work_ring(const WorkRingLayout& l);
 /// only requires the privilege). A privileged process can now cycle its
 /// work counter forever without moving the K-state image — a reachable
 /// pure-stutter cycle, so convergence refinement to K-state FAILS with a
-/// divergence witness. Pins that the on-the-fly stutter search actually
-/// bites at scale.
+/// divergence witness. Pins that the divergence search over a generated
+/// source actually bites.
 System make_work_ring_looping(const WorkRingLayout& l);
 
 /// Work-skip wrapper W' (the Theorem 3 leg): a privileged process jumps

@@ -22,38 +22,6 @@ std::vector<char> to_chars(const util::DenseBitset& b) {
 
 // ---------------------------------------------------------------- generation
 
-/// Longest-path index of the subgraph of stutter edges with
-/// non-A-deadlock images (restricted to `filter` members when given).
-/// nullopt if that subgraph has a cycle — then the relation's stutter
-/// condition is violated and no positive certificate exists.
-std::optional<std::vector<std::uint64_t>> stutter_sigma(const RefinementChecker& rc,
-                                                        const std::vector<char>* filter) {
-  const TransitionGraph& c = rc.c_graph();
-  const TransitionGraph& a = rc.a_graph();
-  const StateId cn = c.num_states();
-  std::vector<std::pair<StateId, StateId>> edges;
-  for (StateId s = 0; s < cn; ++s) {
-    if (filter && !(*filter)[s]) continue;
-    const StateId is = rc.image(s);
-    for (StateId t : c.successors(s)) {
-      if (filter && !(*filter)[t]) continue;
-      if (is == rc.image(t) && !a.is_deadlock(is)) edges.emplace_back(s, t);
-    }
-  }
-  std::vector<std::uint64_t> sigma(cn, 0);
-  if (edges.empty()) return sigma;
-  TransitionGraph sub = TransitionGraph::from_edges(cn, std::move(edges));
-  Scc order(sub);  // acyclic => singleton components in reverse-topological order
-  if (order.count() != cn) return std::nullopt;
-  std::vector<StateId> by_comp(cn);
-  for (StateId s = 0; s < cn; ++s) by_comp[order.component(s)] = s;
-  for (StateId comp = 0; comp < cn; ++comp) {
-    StateId s = by_comp[comp];
-    for (StateId t : sub.successors(s)) sigma[s] = std::max(sigma[s], sigma[t] + 1);
-  }
-  return sigma;
-}
-
 std::vector<std::uint64_t> scc_rho(const RefinementChecker& rc) {
   const StateId cn = rc.c_graph().num_states();
   const Scc& scc = rc.c_scc();
@@ -77,16 +45,16 @@ std::optional<JobCertificate> make_positive(const RefinementChecker& rc, Relatio
     return cert;
   }
 
-  std::vector<char> region;
+  util::DenseBitset region;
   if (r != Relation::kEverywhere) {
-    region = to_chars(reachable_from(c, rc.c_initial()));
-    cert.c_region = region;
+    region = reachable_from(c, rc.c_initial());
+    cert.c_region = to_chars(region);
   }
 
   // sigma: global for the relations whose stutter condition is global;
   // region-restricted for refinement_init (a stutter cycle outside the
   // reachable region does not matter there).
-  auto sigma = stutter_sigma(rc, r == Relation::kRefinementInit ? &region : nullptr);
+  auto sigma = rc.stutter_rank(r == Relation::kRefinementInit ? &region : nullptr);
   if (!sigma) return std::nullopt;
   cert.sigma = std::move(*sigma);
 

@@ -17,7 +17,7 @@
 // End-to-end prover goldens: the shipped examples certify (or honestly
 // fail) exactly as their header comments promise, every emitted
 // certificate survives the independent validator, and every verdict is
-// cross-checked against BOTH explicit-state ground-truth oracles. The
+// cross-checked against the explicit-state ground truth. The
 // paper's showcase — Dijkstra's K-state ring converging to the
 // unique-privilege predicate — is pinned here, table component and all.
 
@@ -44,17 +44,12 @@ gcl::Expr predicate(const gcl::SystemAst& ast, const std::string& text) {
   return std::move(*p);
 }
 
-/// Both ground-truth implementations must agree with each other and
-/// with the claimed convergence verdict.
+/// The explicit ground truth must agree with the claimed convergence
+/// verdict.
 void expect_ground_truth_converges(const gcl::SystemAst& ast, const gcl::Expr& target,
                                    bool converges, bool stabilizes) {
   const GroundTruth ex = explicit_check(ast, target);
-  const GroundTruth lazy = lazy_check(ast, target);
   ASSERT_TRUE(ex.applicable);
-  ASSERT_TRUE(lazy.applicable);
-  EXPECT_EQ(ex.converges(), lazy.converges());
-  EXPECT_EQ(ex.stabilizes(), lazy.stabilizes());
-  EXPECT_EQ(ex.states, lazy.states);
   EXPECT_EQ(ex.converges(), converges);
   EXPECT_EQ(ex.stabilizes(), stabilizes);
 }

@@ -106,6 +106,29 @@ TEST_P(RingCertificateTest, WrappedC3CertificateValidates) {
   EXPECT_TRUE(v.holds) << v.reason;
 }
 
+TEST(CertificateTest, GeneratedSourceYieldsTheSameCertificate) {
+  // rho (C's Tarjan ids) and sigma (the stutter rank) come from the
+  // successor source, so a generated C certifies exactly like the
+  // materialized one — and the certificate validates against the CSR.
+  ring::ThreeStateLayout l(3);
+  ring::BtrLayout bl(3);
+  Abstraction a3 = ring::make_alpha3(l, bl);
+  System c3w = box_priority(ring::make_c3(l),
+                            box(ring::make_w1_dprime(l), ring::make_w2_prime3(l)));
+  const RefinementChecker mat(c3w, ring::make_btr(bl), a3);
+  const RefinementChecker gen = RefinementChecker::generated(c3w, ring::make_btr(bl), a3);
+  auto expected = make_certificate(mat);
+  auto cert = make_certificate(gen);
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->rho, expected->rho);
+  EXPECT_EQ(cert->sigma, expected->sigma);
+  EXPECT_EQ(cert->a_parent, expected->a_parent);
+  auto v = validate_certificate(mat.c_graph(), mat.a_graph(), mat.a_initial(),
+                                alpha_table_of(a3), *cert);
+  EXPECT_TRUE(v.holds) << v.reason;
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, RingCertificateTest, ::testing::Values(2, 3, 4, 5));
 
 }  // namespace

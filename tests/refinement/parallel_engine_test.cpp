@@ -13,6 +13,7 @@
 
 #include "refinement/checker.hpp"
 #include "refinement/random_systems.hpp"
+#include "ring/kstate.hpp"
 #include "ring/three_state.hpp"
 
 namespace cref {
@@ -218,6 +219,53 @@ TEST(ParallelEngineConcurrencyTest, ConcurrentEdgeStatsAndChecksAgree) {
   }
 }
 
+TEST(ParallelEngineConcurrencyTest, GeneratedSourceConcurrentChecksAgree) {
+  // The same race through a generated source: I_C (a parallel predicate
+  // scan), C's SCC and the A-side closure are built on first read from
+  // concurrent callers, each worker with its own successor buffers.
+  ring::KStateLayout lk(3, 4);
+  ring::UtrLayout lu(3);
+  const System c = ring::make_kstate(lk);
+  const System a = ring::make_utr(lu);
+  EngineOptions eo;
+  eo.num_threads = 2;
+  eo.chunk_size = 8;
+  const RefinementChecker gen =
+      RefinementChecker::generated(c, a, ring::make_alpha_k(lk, lu), eo);
+  ASSERT_FALSE(gen.materialized());
+
+  RefinementChecker ref(c, a, ring::make_alpha_k(lk, lu));
+  ref.set_engine_options(EngineOptions{/*num_threads=*/1, /*chunk_size=*/0});
+  const EdgeStats expect_stats = ref.edge_stats();
+  const CheckResult expect_conv = ref.convergence_refinement();
+  const CheckResult expect_stab = ref.stabilizing_to();
+  const CheckResult expect_init = ref.refinement_init();
+
+  constexpr int kCallers = 4;
+  std::vector<EdgeStats> stats(kCallers);
+  std::vector<CheckResult> conv(kCallers), stab(kCallers), init(kCallers);
+  {
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+      callers.emplace_back([&, i] {
+        init[i] = gen.refinement_init();
+        stats[i] = gen.edge_stats();
+        conv[i] = gen.convergence_refinement();
+        stab[i] = gen.stabilizing_to();
+      });
+    for (auto& th : callers) th.join();
+  }
+  for (int i = 0; i < kCallers; ++i) {
+    EXPECT_EQ(stats[i].exact, expect_stats.exact);
+    EXPECT_EQ(stats[i].stutter, expect_stats.stutter);
+    EXPECT_EQ(stats[i].compressed, expect_stats.compressed);
+    EXPECT_EQ(stats[i].invalid, expect_stats.invalid);
+    expect_identical(expect_init, init[i], 0, "init");
+    expect_identical(expect_conv, conv[i], 0, "convergence");
+    expect_identical(expect_stab, stab[i], 0, "stabilizing");
+  }
+}
+
 // ---------------------------------------------------------------------
 // Parallel state-space materialization: the two-pass build must be
 // bit-identical to the serial single-pass build at every thread count,
@@ -338,6 +386,30 @@ TEST(EngineOptionsTest, PhaseTimingsAccumulateAndReset) {
   auto z = rc.phase_timings();
   EXPECT_EQ(z.c_scc_ms, 0.0);
   EXPECT_EQ(z.edge_scan_ms, 0.0);
+}
+
+TEST(EngineOptionsTest, SharedStructuresAreBuiltOnFirstReadOnly) {
+  // All-Exact C (A itself, identity alpha): no edge asks whether it lies
+  // on a cycle or is reachable in A, so neither SCC is ever built.
+  TransitionGraph a = TransitionGraph::from_edges(3, {{0, 1}, {1, 2}, {2, 0}});
+  RefinementChecker exact(a, a, {0}, {0});
+  EXPECT_TRUE(exact.everywhere_refinement().holds);
+  EXPECT_TRUE(exact.convergence_refinement().holds);
+  EXPECT_EQ(exact.phase_timings().c_scc_ms, 0.0);
+  EXPECT_EQ(exact.phase_timings().a_scc_ms, 0.0);
+
+  // 0 -> 2 compresses the A-path 0 -> 1 -> 2: its classification reads
+  // A's closure, and its cycle test reads C's SCC — each built once,
+  // however many checks follow.
+  RefinementChecker compressed(TransitionGraph::from_edges(3, {{0, 2}, {2, 0}}), a, {0}, {0});
+  EXPECT_FALSE(compressed.everywhere_refinement().holds);
+  const PhaseTimings first = compressed.phase_timings();
+  EXPECT_GT(first.c_scc_ms, 0.0);
+  EXPECT_GT(first.a_scc_ms, 0.0);
+  (void)compressed.convergence_refinement();
+  (void)compressed.everywhere_eventually_refinement();
+  EXPECT_EQ(compressed.phase_timings().c_scc_ms, first.c_scc_ms);
+  EXPECT_EQ(compressed.phase_timings().a_scc_ms, first.a_scc_ms);
 }
 
 TEST(EngineOptionsTest, AbsintTimingAccumulatesAndResets) {

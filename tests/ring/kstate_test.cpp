@@ -138,6 +138,12 @@ struct GridCase {
   bool stabilizing;
 };
 
+// Gives each case a stable test name. Without it gtest prints the
+// struct's bytes, whose padding is uninitialized and differs per run.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " K=" << c.k << (c.stabilizing ? " stabilizing" : " not stabilizing");
+}
+
 class KStateGridTest : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(KStateGridTest, MatchesMeasuredBoundary) {

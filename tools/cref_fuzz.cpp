@@ -196,7 +196,6 @@ int main(int argc, char** argv) {
             << "  reference:    " << st.reference_checked << " checked, "
             << st.reference_skipped << " skipped (too large)\n"
             << "  parallel:     " << st.parallel_compared << " compared\n"
-            << "  onthefly:     " << st.onthefly_compared << " compared\n"
             << "  certificates: " << st.certificates_validated << " validated, "
             << st.mutations_rejected << " mutations rejected\n"
             << "  simulation:   " << st.walks_checked << " walks\n"
@@ -210,7 +209,7 @@ int main(int argc, char** argv) {
             << " confirmed explicitly\n"
             << "  refine:       " << st.refine_attempts << " instances tried, "
             << st.refine_decided << " decided, " << st.refine_confirmed
-            << " confirmed by both engines\n"
+            << " confirmed by the engine\n"
             << "  cache:        " << st.cache_jobs << " jobs cold, "
             << st.cache_hits_validated << " hits revalidated\n"
             << "  meta:         " << st.meta_implications << " implications\n";
