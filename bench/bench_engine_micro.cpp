@@ -147,36 +147,6 @@ void BM_ConvergenceTime(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvergenceTime)->DenseRange(3, 7)->Unit(benchmark::kMillisecond);
 
-// Guided self-scheduling vs fixed chunks on a deliberately skewed
-// workload: item i costs O(i) spin iterations, so with fixed chunks the
-// worker that draws the tail chunk finishes last while the others idle.
-// Dynamic chunking (EngineOptions::dynamic_chunking) hands out
-// shrinking chunks so late, expensive items arrive in small grains.
-// Args: {threads, dynamic}. Reproduce the comparison with
-//   bench_engine_micro --benchmark_filter=SkewedChunks
-void BM_SkewedChunks(benchmark::State& state) {
-  EngineOptions eo;
-  eo.num_threads = static_cast<std::size_t>(state.range(0));
-  eo.dynamic_chunking = state.range(1) != 0;
-  const std::size_t n = 4096;
-  std::vector<std::uint64_t> sums(n, 0);
-  for (auto _ : state) {
-    parallel_chunks(n, eo, [&](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        std::uint64_t acc = i;
-        for (std::size_t k = 0; k < 40 * i; ++k) acc = acc * 6364136223846793005ull + 1ull;
-        sums[i] = acc;
-      }
-    });
-    benchmark::DoNotOptimize(sums.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SkewedChunks)
-    ->ArgsProduct({{1, 2, 4}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

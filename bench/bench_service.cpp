@@ -1,7 +1,7 @@
-// E23: the batch checking service — canonical hashing, trust-free
-// certificate cache, and shard-partitioned reachability.
+// E23: the batch checking service — canonical hashing and the
+// trust-free certificate cache.
 //
-// Three legs:
+// Two legs:
 //
 //  1. Warm-cache repeat queries — GCL K-state instances are checked
 //     cold (parse + hash + build + full check + certificate emission),
@@ -11,12 +11,7 @@
 //     in full mode). A third pass goes through a fresh service sharing
 //     only the on-disk store, covering the cross-process reuse path.
 //
-//  2. Sharded reachability — the reachable-region sweep partitioned
-//     across S in {1, 2, 4, 8} hash-shards, each sweep compared
-//     bit-for-bit against the serial BFS. Full mode runs the
-//     WorkRing(n=4, K=5, m=8) instance: 40^5 = 1.024e8 states.
-//
-//  3. Batch throughput — a mixed pile of graph jobs through run_batch,
+//  2. Batch throughput — a mixed pile of graph jobs through run_batch,
 //     cold then warm, with the warm pass required to revalidate every
 //     certificate and reproduce every cold answer byte-for-byte.
 //
@@ -28,7 +23,6 @@
 // --smoke shrinks every leg for CI; the identity and revalidation
 // assertions still run (the 100x floor is asserted in full mode only).
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -38,10 +32,7 @@
 
 #include "common.hpp"
 #include "refinement/random_systems.hpp"
-#include "refinement/reachability.hpp"
-#include "ring/work_ring.hpp"
 #include "service/service.hpp"
-#include "service/shard.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 
@@ -121,48 +112,7 @@ CacheRow run_cache_leg(const std::string& label, int n, int k, Relation r,
   return row;
 }
 
-// ------------------------------------------------------------- leg 2: shard
-
-struct ShardRow {
-  std::string instance;
-  std::size_t shards = 0;
-  StateId states = 0;
-  std::size_t edges = 0;
-  double partition_ms = 0, sweep_ms = 0;
-  bool identical = false;
-};
-
-void run_shard_leg(const std::string& label, const System& sys, StateId max_states,
-                   const EngineOptions& eo, std::vector<ShardRow>& rows) {
-  bench::Timer build;
-  const TransitionGraph mono = TransitionGraph::build(sys, eo, max_states);
-  const double build_ms = build.ms();
-  const std::vector<StateId> init = sys.initial_states();
-  bench::Timer serial;
-  const util::DenseBitset want = reachable_from(mono, init);
-  const double serial_ms = serial.ms();
-  std::printf("%s: %llu states, %zu edges; monolithic build %.1f ms, serial BFS %.1f ms\n",
-              label.c_str(), static_cast<unsigned long long>(mono.num_states()),
-              mono.num_edges(), build_ms, serial_ms);
-
-  for (std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    ShardRow row;
-    row.instance = label;
-    row.shards = s;
-    row.states = mono.num_states();
-    row.edges = mono.num_edges();
-    bench::Timer part;
-    ShardedGraph sg = ShardedGraph::partition(mono, s, eo);
-    row.partition_ms = part.ms();
-    bench::Timer sweep;
-    const util::DenseBitset got = sharded_reachable_from(sg, init, eo);
-    row.sweep_ms = sweep.ms();
-    row.identical = got == want;
-    rows.push_back(row);
-  }
-}
-
-// ------------------------------------------------------------- leg 3: batch
+// ------------------------------------------------------------- leg 2: batch
 
 struct BatchRow {
   std::size_t jobs = 0;
@@ -201,8 +151,7 @@ BatchRow run_batch_leg(std::uint64_t seed, std::size_t instances, StateId n,
 // ------------------------------------------------------------------- output
 
 void write_json(const char* path, std::uint64_t seed, bool smoke,
-                const std::vector<CacheRow>& cache, const std::vector<ShardRow>& shard,
-                const BatchRow& batch) {
+                const std::vector<CacheRow>& cache, const BatchRow& batch) {
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E23 batch checking service\",\n  \"seed\": " << seed
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
@@ -215,15 +164,6 @@ void write_json(const char* path, std::uint64_t seed, bool smoke,
         << ", \"speedup\": " << r.speedup() << ", \"ok\": " << (r.ok ? "true" : "false")
         << "}" << (i + 1 < cache.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"shard\": [\n";
-  for (std::size_t i = 0; i < shard.size(); ++i) {
-    const ShardRow& r = shard[i];
-    out << "    {\"instance\": \"" << r.instance << "\", \"shards\": " << r.shards
-        << ", \"states\": " << r.states << ", \"edges\": " << r.edges
-        << ", \"partition_ms\": " << r.partition_ms << ", \"sweep_ms\": " << r.sweep_ms
-        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-        << (i + 1 < shard.size() ? "," : "") << "\n";
-  }
   out << "  ],\n  \"batch\": {\"jobs\": " << batch.jobs << ", \"cold_ms\": " << batch.cold_ms
       << ", \"warm_ms\": " << batch.warm_ms << ", \"cold_jobs_per_s\": " << batch.cold_jps()
       << ", \"warm_jobs_per_s\": " << batch.warm_jps()
@@ -235,7 +175,7 @@ void write_json(const char* path, std::uint64_t seed, bool smoke,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv, {"smoke"});
   const bool smoke = cli.has("smoke");
-  bench::header("E23", "batch checking service: cache, shards, throughput");
+  bench::header("E23", "batch checking service: cache, throughput");
   const std::uint64_t seed = bench::seed_from_cli(cli);
   EngineOptions eo = bench::engine_options_from_cli(cli);
 
@@ -268,22 +208,7 @@ int main(int argc, char** argv) {
   std::printf("\nwarm-cache repeat queries (every hit certificate-revalidated):\n%s\n",
               t1.to_string().c_str());
 
-  // ---- leg 2: sharded reachability --------------------------------
-  std::vector<ShardRow> shard;
-  if (smoke) {
-    ring::WorkRingLayout l(2, 3, 3);  // 9^3 = 729 states
-    run_shard_leg("workring(n=2,K=3,m=3)", ring::make_work_ring(l), 1ull << 20, eo, shard);
-  } else {
-    ring::WorkRingLayout l(4, 5, 8);  // 40^5 = 1.024e8 states
-    run_shard_leg("workring(n=4,K=5,m=8)", ring::make_work_ring(l), 1ull << 27, eo, shard);
-  }
-  util::Table t2({"instance", "shards", "partition ms", "sweep ms", "identical"});
-  for (const ShardRow& r : shard)
-    t2.add_row({r.instance, std::to_string(r.shards), util::format_double(r.partition_ms, 1),
-                util::format_double(r.sweep_ms, 1), bench::yesno(r.identical)});
-  std::printf("sharded reachable-region sweep vs serial BFS:\n%s\n", t2.to_string().c_str());
-
-  // ---- leg 3: batch throughput ------------------------------------
+  // ---- leg 2: batch throughput ------------------------------------
   ServiceOptions batch_opts;
   batch_opts.engine = eo;  // in-memory only: isolates executor throughput
   const BatchRow batch = run_batch_leg(seed, smoke ? 20 : 200, smoke ? 60 : 400, batch_opts);
@@ -292,16 +217,14 @@ int main(int argc, char** argv) {
               batch.jobs, batch.cold_ms, batch.cold_jps(), batch.warm_ms, batch.warm_jps(),
               bench::yesno(batch.ok).c_str());
 
-  write_json("BENCH_service.json", seed, smoke, cache, shard, batch);
+  write_json("BENCH_service.json", seed, smoke, cache, batch);
   std::printf("wrote BENCH_service.json\n");
 
   // ---- acceptance -------------------------------------------------
   bool ok = batch.ok;
   for (const CacheRow& r : cache) ok = ok && r.ok;
-  for (const ShardRow& r : shard) ok = ok && r.identical;
   if (!ok) {
-    std::fprintf(stderr, "FAIL: a warm answer went unvalidated or a sharded sweep "
-                         "diverged from the serial BFS\n");
+    std::fprintf(stderr, "FAIL: a warm answer went unvalidated or differed from the cold one\n");
     return 1;
   }
   if (!smoke) {

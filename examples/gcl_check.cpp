@@ -2,15 +2,11 @@
 // system the way the paper does, then analyze it without recompiling.
 //
 //   $ ./gcl_check protocol.gcl                     # stats + self-stabilization
-//   $ ./gcl_check protocol.gcl --lint              # semantic lint first
 //   $ ./gcl_check protocol.gcl --absint            # abstract reachability R#
 //   $ ./gcl_check protocol.gcl --closure 'x == 0'  # static closure proof
 //   $ ./gcl_check concrete.gcl --a abstract.gcl    # all refinement relations
 //
-// --lint runs the gcl_lint semantic passes (see tools/gcl_lint.cpp)
-// before any state-space exploration and aborts on error-severity
-// findings — structural defects die here instead of surfacing as
-// confusing verdicts after a full exploration.
+// Lint a file with tools/gcl_lint before exploring it.
 //
 // --absint computes the abstract over-approximation R# of the states
 // reachable from init (src/absint/absint.hpp) and reports how much of
@@ -24,31 +20,20 @@
 // feature (see examples/refinement_explorer for the built-in zoo).
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <utility>
 
 #include "absint/absint.hpp"
 #include "absint/closure.hpp"
-#include "gcl/analyze.hpp"
 #include "gcl/compile.hpp"
 #include "gcl/parser.hpp"
 #include "refinement/checker.hpp"
 #include "refinement/convergence_time.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 using namespace cref;
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 void describe(const System& sys) {
   TransitionGraph g = TransitionGraph::build(sys);
@@ -64,37 +49,20 @@ void describe(const System& sys) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, {"lint", "absint"});
+  util::Cli cli(argc, argv, {"absint"});
   if (cli.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: gcl_check FILE.gcl [--a ABSTRACT.gcl] [--lint] "
-                 "[--absint] [--closure EXPR]\n"
+                 "usage: gcl_check FILE.gcl [--a ABSTRACT.gcl] [--absint] [--closure EXPR]\n"
                  "       (see examples/gcl/*.gcl for the syntax)\n");
     return 2;
   }
   try {
-    struct Loaded {
-      gcl::SystemAst ast;
-      System sys;
-    };
-    auto load = [&](const std::string& path) -> Loaded {
-      gcl::SystemAst ast = gcl::parse(read_file(path));
-      if (cli.has("lint")) {
-        auto diags = gcl::analyze(ast);
-        std::fputs(gcl::render_text(diags, path).c_str(), stdout);
-        if (gcl::count_diagnostics(diags).errors > 0)
-          throw std::runtime_error("lint found errors in " + path +
-                                   "; fix them before exploring");
-      }
-      System sys = gcl::compile(ast);
-      return {std::move(ast), std::move(sys)};
-    };
-    Loaded lc = load(cli.positional()[0]);
-    System& c = lc.sys;
+    const gcl::SystemAst ast = gcl::parse(util::read_file(cli.positional()[0]));
+    System c = gcl::compile(ast);
     describe(c);
 
     if (cli.has("absint")) {
-      absint::AbsintResult res = absint::analyze_reachable(lc.ast);
+      absint::AbsintResult res = absint::analyze_reachable(ast);
       const Space& space = c.space();
       StateVec decoded;
       unsigned long long kept = 0;
@@ -120,15 +88,15 @@ int main(int argc, char** argv) {
     if (cli.has("closure")) {
       const std::string text = cli.get("closure");
       std::string err;
-      auto pred = absint::parse_predicate(lc.ast, text, &err);
+      auto pred = absint::parse_predicate(ast, text, &err);
       if (!pred) {
         std::fprintf(stderr, "error: --closure: %s\n", err.c_str());
         return 2;
       }
-      if (auto cert = absint::make_closure_certificate(lc.ast, *pred)) {
+      if (auto cert = absint::make_closure_certificate(ast, *pred)) {
         std::printf("closure: PROVED — '%s' is closed under all %zu action(s) "
                     "(%zu obligation(s))\n",
-                    cert->predicate.c_str(), lc.ast.actions.size(),
+                    cert->predicate.c_str(), ast.actions.size(),
                     cert->obligations.size());
         ClosedRegionCertificate crc =
             absint::to_closed_region_certificate(c.space(), cert->region);
@@ -163,7 +131,7 @@ int main(int argc, char** argv) {
       return r.holds ? 0 : 1;
     }
 
-    System a = load(cli.get("a")).sys;
+    System a = gcl::compile(gcl::parse(util::read_file(cli.get("a"))));
     describe(a);
     if (!c.space().same_shape_as(a.space())) {
       std::fprintf(stderr, "error: the two systems declare different variables\n");

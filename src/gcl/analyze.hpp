@@ -25,8 +25,8 @@
 //   6. check_init         init-unsatisfiable
 //
 // `analyze()` runs all six and returns the findings in reporting
-// order. Tests exercise passes individually; the `gcl_lint` tool and
-// `gcl_check --lint` drive `analyze()`.
+// order. Tests exercise passes individually; the `gcl_lint` tool
+// drives `analyze()`.
 
 #include <string>
 #include <vector>

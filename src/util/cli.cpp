@@ -48,4 +48,11 @@ std::size_t Cli::get_size(const std::string& key, std::size_t fallback) const {
 
 bool Cli::has(const std::string& key) const { return options_.count(key) > 0; }
 
+std::string Cli::unknown_option(std::initializer_list<const char*> known) const {
+  const std::set<std::string> known_set(known.begin(), known.end());
+  for (const auto& option : options_)
+    if (!known_set.count(option.first)) return option.first;
+  return "";
+}
+
 }  // namespace cref::util

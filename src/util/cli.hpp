@@ -34,6 +34,11 @@ class Cli {
   /// Returns true if `--key` was passed (with or without a value).
   bool has(const std::string& key) const;
 
+  /// The first passed option (by name, without "--") that is not in
+  /// `known`, or "" when every option is known. A tool that checks it
+  /// rejects a misspelled option instead of running with defaults.
+  std::string unknown_option(std::initializer_list<const char*> known) const;
+
   /// Positional (non-option) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -32,33 +32,14 @@ void parallel_chunks(std::size_t n, const EngineOptions& opts,
     return;
   }
   std::atomic<std::size_t> next{0};
-  std::function<void(std::size_t)> worker;
-  if (opts.dynamic_chunking) {
-    // Guided self-scheduling: grab size tracks the remaining work, so
-    // early grabs are big (few atomic round-trips) and tail grabs shrink
-    // to `floor` (no worker left holding a huge final chunk).
-    const std::size_t floor = opts.chunk_size ? opts.chunk_size : 64;
-    worker = [&, floor](std::size_t tid) {
-      std::size_t begin = next.load(std::memory_order_relaxed);
-      while (begin < n) {
-        const std::size_t grab = std::max(floor, (n - begin) / (4 * threads));
-        if (next.compare_exchange_weak(begin, std::min(begin + grab, n),
-                                       std::memory_order_relaxed)) {
-          fn(tid, begin, std::min(begin + grab, n));
-          begin = next.load(std::memory_order_relaxed);
-        }
-      }
-    };
-  } else {
-    const std::size_t chunk = opts.resolved_chunk(n);
-    worker = [&, chunk](std::size_t tid) {
-      for (;;) {
-        std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= n) return;
-        fn(tid, begin, std::min(begin + chunk, n));
-      }
-    };
-  }
+  const std::size_t chunk = opts.resolved_chunk(n);
+  auto worker = [&](std::size_t tid) {
+    for (;;) {
+      std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= n) return;
+      fn(tid, begin, std::min(begin + chunk, n));
+    }
+  };
   std::vector<std::thread> pool;
   pool.reserve(threads - 1);
   for (std::size_t i = 1; i < threads; ++i) pool.emplace_back(worker, i);

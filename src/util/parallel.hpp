@@ -36,16 +36,6 @@ struct EngineOptions {
   /// lists, large enough to keep the atomic work-queue cold).
   std::size_t chunk_size = 0;
 
-  /// Guided self-scheduling: instead of fixed-size grabs, each worker
-  /// takes max(floor, remaining / (4 * threads)) items per grab — large
-  /// chunks while work is plentiful, shrinking toward `floor` at the
-  /// tail so one skewed chunk cannot strand the pool behind a single
-  /// worker. `floor` is chunk_size when nonzero, else 64. Opt-in; all
-  /// merges stay bit-identical because no consumer of parallel_chunks
-  /// depends on the chunk boundaries (results merge by state id, CSR
-  /// slices land at precomputed offsets).
-  bool dynamic_chunking = false;
-
   /// Above this many A-side SCCs the condensation-closure bitsets would
   /// use too much memory; reachability queries fall back to per-query
   /// BFS. Exposed mainly so tests can force the BFS path.

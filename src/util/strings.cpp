@@ -1,6 +1,9 @@
 #include "util/strings.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 
 namespace cref::util {
 
@@ -27,6 +30,14 @@ std::vector<std::string> split(std::string_view s, char sep) {
     }
   }
   return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 std::string format_double(double value, int digits) {

@@ -15,6 +15,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Splits `s` on every occurrence of `sep` (no collapsing of empty fields).
 std::vector<std::string> split(std::string_view s, char sep);
 
+/// Returns the whole contents of the file at `path`; throws
+/// std::runtime_error("cannot open <path>") when it cannot be opened.
+std::string read_file(const std::string& path);
+
 /// Formats a double with `digits` significant decimal places, trimming
 /// trailing zeros ("3.50" -> "3.5", "4.00" -> "4").
 std::string format_double(double value, int digits = 2);

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,6 +10,7 @@
 #include "gcl/compile.hpp"
 #include "gcl/parser.hpp"
 #include "refinement/reachability.hpp"
+#include "util/strings.hpp"
 
 // Fixpoint engine: termination and soundness on every shipped example
 // program, exactness on the K-state ring (the disjunctive domain's
@@ -21,13 +20,6 @@
 
 namespace cref::absint {
 namespace {
-
-std::string read_file(const std::filesystem::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 std::vector<std::filesystem::path> example_programs() {
   std::vector<std::filesystem::path> out;
@@ -91,7 +83,7 @@ TEST(AbsintTest, ExamplesTerminateSoundlyAndPruneBitIdentically) {
   ASSERT_FALSE(programs.empty());
   for (const auto& p : programs) {
     SCOPED_TRACE(p.filename().string());
-    check_program(gcl::parse(read_file(p)));
+    check_program(gcl::parse(util::read_file(p)));
   }
 }
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +11,7 @@
 #include "gcl/parser.hpp"
 #include "gcl/pretty.hpp"
 #include "prover/ground_truth.hpp"
+#include "util/strings.hpp"
 
 // End-to-end prover goldens: the shipped examples certify (or honestly
 // fail) exactly as their header comments promise, every emitted
@@ -26,15 +25,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 gcl::SystemAst example(const char* name) {
-  return gcl::parse(read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
+  return gcl::parse(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
 }
 
 gcl::Expr predicate(const gcl::SystemAst& ast, const std::string& text) {

@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "gcl/alpha.hpp"
 #include "gcl/parser.hpp"
 #include "prover/refine.hpp"
+#include "util/strings.hpp"
 
 // The refinement-certificate trust story: the independent validator
 // must reject every tampered RefinementCertificate — forged abstract
@@ -24,15 +23,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 gcl::SystemAst example(const char* rel_path) {
-  return gcl::parse(read_file(fs::path(CREF_SOURCE_DIR) / "examples" / rel_path));
+  return gcl::parse(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / rel_path));
 }
 
 struct Proved {
@@ -46,7 +38,7 @@ struct Proved {
 /// compressed-row, visible-ranking, and invariant machinery.
 Proved proved_kstate() {
   Proved p{example("gcl/dijkstra_kstate_n4.gcl"), example("gcl/utr_n4.gcl"), {}, {}};
-  p.alpha = gcl::parse_alpha(read_file(fs::path(CREF_SOURCE_DIR) / "examples" /
+  p.alpha = gcl::parse_alpha(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" /
                                        "gcl" / "kstate_utr_n4.alpha"),
                              p.c, p.a);
   RefineResult r = prove_refinement(p.c, p.a, p.alpha);

@@ -3,14 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/space.hpp"
 #include "gcl/alpha.hpp"
 #include "gcl/parser.hpp"
 #include "prover/ground_truth.hpp"
+#include "util/strings.hpp"
 
 // End-to-end goldens for the static convergence-refinement prover: the
 // three shipped instances certify exactly as their header comments
@@ -25,15 +24,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 gcl::SystemAst example(const char* rel_path) {
-  return gcl::parse(read_file(fs::path(CREF_SOURCE_DIR) / "examples" / rel_path));
+  return gcl::parse(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / rel_path));
 }
 
 /// Proves, validates, and (when both spaces fit) confirms the verdict
@@ -63,7 +55,7 @@ TEST(RefineProverExamples, DijkstraKStateRefinesAbstractUTR) {
   const gcl::SystemAst c = example("gcl/dijkstra_kstate_n4.gcl");
   const gcl::SystemAst a = example("gcl/utr_n4.gcl");
   const gcl::AlphaSpec alpha = gcl::parse_alpha(
-      read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / "kstate_utr_n4.alpha"),
+      util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / "kstate_utr_n4.alpha"),
       c, a);
 
   const RefinementCertificate cert = prove_and_validate(c, a, alpha);
@@ -185,7 +177,7 @@ TEST(RefineProverSerialization, CertificateRoundTripsAndRevalidates) {
   const gcl::SystemAst c = example("gcl/dijkstra_kstate_n4.gcl");
   const gcl::SystemAst a = example("gcl/utr_n4.gcl");
   const gcl::AlphaSpec alpha = gcl::parse_alpha(
-      read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / "kstate_utr_n4.alpha"),
+      util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / "kstate_utr_n4.alpha"),
       c, a);
   const RefinementCertificate cert = prove_and_validate(c, a, alpha);
 
@@ -236,7 +228,7 @@ TEST(RefineProverSerialization, MalformedTextIsAMissNeverACrash) {
 TEST(RefineProverAlpha, ParsePrintFixpointAndImages) {
   const gcl::SystemAst c = example("gcl/dijkstra_kstate_n4.gcl");
   const gcl::SystemAst a = example("gcl/utr_n4.gcl");
-  const std::string source = read_file(fs::path(CREF_SOURCE_DIR) / "examples" /
+  const std::string source = util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" /
                                        "gcl" / "kstate_utr_n4.alpha");
   const gcl::AlphaSpec alpha = gcl::parse_alpha(source, c, a);
   ASSERT_TRUE(alpha.invariant != nullptr);

@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "gcl/parser.hpp"
+#include "util/strings.hpp"
 
 // The graybox superposition side conditions of Theorems 3 and 5: a
 // wrapper may read any base variable but write only its own process's,
@@ -22,15 +21,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 gcl::SystemAst example(const char* name) {
-  return gcl::parse(read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
+  return gcl::parse(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
 }
 
 bool has_rule(const std::vector<gcl::Diagnostic>& diags, gcl::Rule rule,

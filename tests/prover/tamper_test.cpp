@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "absint/closure.hpp"
 #include "gcl/parser.hpp"
 #include "prover/prove.hpp"
+#include "util/strings.hpp"
 
 // The certificate trust story: validate_certificate must reject every
 // tampered certificate — wrong template, corrupted table, widened
@@ -22,15 +21,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 gcl::SystemAst example(const char* name) {
-  return gcl::parse(read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
+  return gcl::parse(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" / name));
 }
 
 gcl::Expr predicate(const gcl::SystemAst& ast, const std::string& text) {

@@ -341,30 +341,6 @@ TEST(EngineOptionsTest, ParallelChunksCoversEveryIndexOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(EngineOptionsTest, DynamicChunkingCoversEveryIndexOnce) {
-  EngineOptions eo;
-  eo.num_threads = 4;
-  eo.chunk_size = 0;  // let the scheduler pick grain sizes
-  eo.dynamic_chunking = true;
-  const std::size_t n = 1337;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  parallel_chunks(n, eo, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(EngineOptionsTest, DynamicChunkingKeepsBuildsBitIdentical) {
-  ring::ThreeStateLayout l(5);
-  System sys = ring::make_dijkstra3(l);
-  const TransitionGraph serial = TransitionGraph::build(sys);
-  EngineOptions eo;
-  eo.num_threads = 4;
-  eo.dynamic_chunking = true;
-  EXPECT_EQ(TransitionGraph::build(sys, eo), serial);
-}
-
 TEST(EngineOptionsTest, ResolveThreadCountNormalizesZero) {
   EXPECT_EQ(resolve_thread_count(3), 3u);
   EXPECT_EQ(resolve_thread_count(1), 1u);

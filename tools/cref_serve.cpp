@@ -16,6 +16,10 @@
 //   paths are resolved relative to the batch file's directory (or the
 //   working directory when reading stdin); '#' starts a comment line.
 //
+// A request whose file is missing or does not parse, or whose relation
+// is unknown, is answered FAILS with reason "service: <error>"; the
+// rest of the batch is still answered, and the run then exits 1.
+//
 // --twice re-answers the whole batch with a SECOND service instance
 // sharing only the on-disk cache — an end-to-end disk round trip.
 // --assert-warm then exits 1 unless every second-pass answer was a
@@ -31,9 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "gcl/diag.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 
 using namespace cref;
 
@@ -59,29 +65,6 @@ struct Request {
   std::string relation, c_path, a_path;
 };
 
-std::string read_file(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + p.string());
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// The comparable answer content: everything except timings and
 /// cache telemetry. --assert-warm requires these bytes to match
 /// between the cold and warm passes.
@@ -97,10 +80,11 @@ std::string answer_body(const Request& req, const service::JobOutcome& o) {
 std::string answer_line(const Request& req, const service::JobOutcome& o, bool json) {
   std::ostringstream out;
   if (json) {
-    out << "{\"relation\": \"" << req.relation << "\", \"c\": \"" << json_escape(req.c_path)
-        << "\", \"a\": \"" << json_escape(req.a_path) << "\", \"key\": \"" << o.key.hex()
-        << "\", \"holds\": " << (o.result.holds ? "true" : "false") << ", \"reason\": \""
-        << json_escape(o.result.reason) << "\", \"witness\": [";
+    out << "{\"relation\": \"" << gcl::json_escape(req.relation) << "\", \"c\": \""
+        << gcl::json_escape(req.c_path) << "\", \"a\": \"" << gcl::json_escape(req.a_path)
+        << "\", \"key\": \"" << o.key.hex() << "\", \"holds\": "
+        << (o.result.holds ? "true" : "false") << ", \"reason\": \""
+        << gcl::json_escape(o.result.reason) << "\", \"witness\": [";
     for (std::size_t i = 0; i < o.result.witness.states.size(); ++i)
       out << (i ? ", " : "") << o.result.witness.states[i];
     out << "], \"cache_hit\": " << (o.cache_hit ? "true" : "false")
@@ -157,15 +141,34 @@ int main(int argc, char** argv) {
       reqs = parse_requests(std::cin);
     }
 
+    // Each request loads on its own: one that cannot be loaded gets a
+    // FAILS answer, worded as run_batch words a job that throws.
     std::vector<service::Job> jobs;
-    jobs.reserve(reqs.size());
-    for (const Request& r : reqs)
-      jobs.push_back(service::Job::from_gcl(service::relation_from_string(r.relation),
-                                            read_file(base / r.c_path),
-                                            read_file(base / r.a_path)));
+    std::vector<std::string> load_errors(reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const Request& r = reqs[i];
+      try {
+        jobs.push_back(service::Job::from_gcl(service::relation_from_string(r.relation),
+                                              util::read_file(base / r.c_path),
+                                              util::read_file(base / r.a_path)));
+      } catch (const std::exception& e) {
+        load_errors[i] = std::string("service: ") + e.what();
+      }
+    }
+    auto answer = [&](service::CheckService& svc) {
+      std::vector<service::JobOutcome> ran = svc.run_batch(jobs);
+      std::vector<service::JobOutcome> out(reqs.size());
+      for (std::size_t i = 0, j = 0; i < reqs.size(); ++i) {
+        if (load_errors[i].empty())
+          out[i] = std::move(ran[j++]);
+        else
+          out[i].result = CheckResult::fail(load_errors[i]);
+      }
+      return out;
+    };
 
     service::CheckService svc(opts);
-    std::vector<service::JobOutcome> first = svc.run_batch(jobs);
+    std::vector<service::JobOutcome> first = answer(svc);
     for (std::size_t i = 0; i < reqs.size(); ++i)
       std::cout << answer_line(reqs[i], first[i], json) << '\n';
     auto st = svc.stats();
@@ -175,7 +178,7 @@ int main(int argc, char** argv) {
     if (twice) {
       // A fresh instance: nothing survives but the on-disk store.
       service::CheckService warm(opts);
-      std::vector<service::JobOutcome> second = warm.run_batch(jobs);
+      std::vector<service::JobOutcome> second = answer(warm);
       for (std::size_t i = 0; i < reqs.size(); ++i)
         std::cout << answer_line(reqs[i], second[i], json) << '\n';
       auto wst = warm.stats();
@@ -197,6 +200,10 @@ int main(int argc, char** argv) {
         std::cerr << "assert-warm: all " << reqs.size()
                   << " warm answers validated and byte-identical\n";
       }
+    }
+    if (const std::size_t unloaded = reqs.size() - jobs.size()) {
+      std::cerr << "cref_serve: " << unloaded << " request(s) could not be loaded\n";
+      return 1;
     }
   } catch (const std::exception& e) {
     std::cerr << "cref_serve: " << e.what() << '\n';

@@ -34,8 +34,6 @@
 // exit identically (pinned by tests/cli/lint_exit_codes.sh).
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,20 +45,13 @@
 #include "gcl/sarif.hpp"
 #include "prover/superposition.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 using namespace cref;
 
 namespace {
 
 enum class Format { Text, Json, Sarif };
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 }  // namespace
 
@@ -107,7 +98,7 @@ int main(int argc, char** argv) {
   const std::string base_path = cli.get("base", "");
   if (!base_path.empty()) {
     try {
-      base_ast = gcl::parse(read_file(base_path));
+      base_ast = gcl::parse(util::read_file(base_path));
       have_base = true;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gcl_lint: --base %s: %s\n", base_path.c_str(), e.what());
@@ -121,7 +112,7 @@ int main(int argc, char** argv) {
     bool parsed = false;
     gcl::SystemAst ast;
     try {
-      ast = gcl::parse(read_file(path));
+      ast = gcl::parse(util::read_file(path));
       parsed = true;
     } catch (const std::exception& e) {
       diags.push_back(gcl::parse_error_diagnostic(e.what()));

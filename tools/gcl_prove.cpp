@@ -14,47 +14,32 @@
 // closure leg (stabilization = convergence + closure); a
 // convergence-only proof is reported as such and exits 1.
 //
-// --refine switches to the static convergence-refinement prover:
-//   $ gcl_prove --refine ABSTRACT.gcl CONCRETE.gcl [--alpha FILE]
-// (two positional files, abstract first — the same engine as the
-// dedicated gcl_refine tool; see src/prover/refine.hpp).
+// Convergence refinement between two files is gcl_refine's job.
 //
 // --format=json prints one certificate document per file (or a
 // prove_failure document); --format=sarif one SARIF 2.1.0 run per file
-// (rule prove-not-proved / refine-refuted / refine-unknown). --budget
-// caps both the per-obligation enumeration and the residual-table size
-// (default 2^20).
+// (rule prove-not-proved). --budget caps both the per-obligation
+// enumeration and the residual-table size (default 2^20).
 //
 // Exit codes: 0 every file proved (and validated), 1 some proof or
-// validation failed, 2 usage error.
+// validation failed, 2 usage error (an unknown option included).
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "absint/closure.hpp"
-#include "gcl/alpha.hpp"
 #include "gcl/diag.hpp"
 #include "gcl/parser.hpp"
-#include "gcl/pretty.hpp"
 #include "gcl/sarif.hpp"
 #include "prover/prove.hpp"
-#include "prover/refine.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 using namespace cref;
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 void print_failure_json(const std::string& path, const std::string& goal,
                         const std::vector<std::string>& failures) {
@@ -67,107 +52,26 @@ void print_failure_json(const std::string& path, const std::string& goal,
   std::fputs(out.str().c_str(), stdout);
 }
 
-// The --refine mode: [CONCRETE curlypreceq ABSTRACT] through --alpha
-// (or the by-name identity projection), same engine and output
-// conventions as the dedicated gcl_refine tool.
-int run_refine(const util::Cli& cli, const std::string& format) {
-  const std::string a_path = cli.positional()[0];
-  const std::string c_path = cli.positional()[1];
-  gcl::SystemAst a_ast, c_ast;
-  gcl::AlphaSpec alpha;
-  try {
-    a_ast = gcl::parse(read_file(a_path));
-    c_ast = gcl::parse(read_file(c_path));
-    const std::string alpha_path = cli.get("alpha", "");
-    alpha = alpha_path.empty() ? gcl::identity_alpha(c_ast, a_ast)
-                               : gcl::parse_alpha(read_file(alpha_path), c_ast, a_ast);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "gcl_prove: %s\n", e.what());
-    return 2;
-  }
-
-  prover::RefineOptions opts;
-  opts.budget = cli.get_size("budget", opts.budget);
-  prover::RefineResult result = prover::prove_refinement(c_ast, a_ast, alpha, opts);
-  if (result.verdict == prover::RefineVerdict::Proved) {
-    std::string why;
-    if (!prover::validate_refinement_certificate(c_ast, a_ast, alpha,
-                                                 *result.certificate, &why)) {
-      result.verdict = prover::RefineVerdict::Unknown;
-      result.failures.push_back("validator rejected the certificate: " + why);
-    }
-  }
-  const bool proved = result.verdict == prover::RefineVerdict::Proved;
-  const char* verdict = prover::refine_verdict_name(result.verdict);
-
-  if (format == "sarif") {
-    std::vector<gcl::Diagnostic> diags;
-    const bool refuted = result.verdict == prover::RefineVerdict::Refuted;
-    for (const std::string& f : result.failures) {
-      gcl::Diagnostic d;
-      d.rule = refuted ? gcl::Rule::RefineRefuted : gcl::Rule::RefineUnknown;
-      d.severity = refuted ? gcl::Severity::Error : gcl::Severity::Warning;
-      d.message =
-          "[" + c_ast.name + " refines " + a_ast.name + "] " + verdict + ": " + f;
-      diags.push_back(std::move(d));
-    }
-    std::fputs(gcl::render_sarif(diags, "gcl_prove", c_path).c_str(), stdout);
-  } else if (format == "json") {
-    if (proved) {
-      std::fputs(
-          prover::render_refinement_certificate_json(*result.certificate).c_str(),
-          stdout);
-    } else {
-      std::ostringstream out;
-      out << "{\"type\": \"refine_failure\", \"concrete\": \""
-          << gcl::json_escape(c_path) << "\", \"abstract\": \""
-          << gcl::json_escape(a_path) << "\", \"verdict\": \"" << verdict
-          << "\", \"failures\": [";
-      for (std::size_t i = 0; i < result.failures.size(); ++i)
-        out << (i ? ", " : "") << '"' << gcl::json_escape(result.failures[i]) << '"';
-      out << "]}\n";
-      std::fputs(out.str().c_str(), stdout);
-    }
-  } else {
-    if (proved) {
-      std::printf("[%s refines %s]: proved in %.2f ms (validated)\n",
-                  c_ast.name.c_str(), a_ast.name.c_str(), result.prove_ms);
-      std::fputs(
-          prover::format_refinement_certificate(c_ast, a_ast, *result.certificate)
-              .c_str(),
-          stdout);
-    } else {
-      std::printf("[%s refines %s]: %s\n", c_ast.name.c_str(), a_ast.name.c_str(),
-                  verdict);
-      for (const std::string& f : result.failures) std::printf("  %s\n", f.c_str());
-    }
-  }
-  return proved ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, {"enabled-one", "terminates", "refine"});
+  util::Cli cli(argc, argv, {"enabled-one", "terminates"});
   const std::string target_text = cli.get("target", "");
   const int goals = (!target_text.empty() ? 1 : 0) + (cli.has("enabled-one") ? 1 : 0) +
                     (cli.has("terminates") ? 1 : 0);
-  const bool refine = cli.has("refine");
-  if (cli.positional().empty() || goals > 1 || (refine && goals > 0) ||
-      (refine && cli.positional().size() != 2)) {
+  const std::string unknown =
+      cli.unknown_option({"target", "enabled-one", "terminates", "budget", "format"});
+  if (!unknown.empty()) std::fprintf(stderr, "gcl_prove: unknown option --%s\n", unknown.c_str());
+  if (!unknown.empty() || cli.positional().empty() || goals > 1) {
     std::fprintf(stderr,
                  "usage: gcl_prove [--target PRED | --enabled-one | --terminates] "
                  "[--budget N] [--format text|json|sarif] FILE.gcl...\n"
-                 "       gcl_prove --refine [--alpha FILE] [--budget N] "
-                 "[--format text|json|sarif] ABSTRACT.gcl CONCRETE.gcl\n"
                  "  --target PRED  prove convergence to the predicate (quoted GCL\n"
                  "                 expression over the file's variables)\n"
                  "  --enabled-one  prove convergence to 'exactly one guard holds'\n"
                  "                 (the paper's unique-privilege target)\n"
                  "  --terminates   prove every computation finite (the default for\n"
                  "                 init-free wrapper files)\n"
-                 "  --refine       prove [CONCRETE curlypreceq ABSTRACT] statically\n"
-                 "                 (two files, abstract first; --alpha maps states)\n"
                  "  --budget N     max valuations per obligation and table states\n"
                  "                 (default 2^20)\n"
                  "  --format=json  machine-readable certificates\n"
@@ -180,7 +84,6 @@ int main(int argc, char** argv) {
                  format.c_str());
     return 2;
   }
-  if (refine) return run_refine(cli, format);
   prover::ProveOptions opts;
   opts.budget = cli.get_size("budget", opts.budget);
 
@@ -188,7 +91,7 @@ int main(int argc, char** argv) {
   for (const std::string& path : cli.positional()) {
     gcl::SystemAst ast;
     try {
-      ast = gcl::parse(read_file(path));
+      ast = gcl::parse(util::read_file(path));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gcl_prove: %s: %s\n", path.c_str(), e.what());
       return 2;

@@ -20,10 +20,10 @@
 // --format=sarif emits a SARIF 2.1.0 run (rules refine-refuted /
 // refine-unknown; a proved refinement has zero results).
 //
-// Exit codes: 0 proved (and validated), 1 refuted or unknown, 2 usage.
+// Exit codes: 0 proved (and validated), 1 refuted or unknown, 2 usage
+// (an unknown option or an unreadable file included).
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,24 +34,15 @@
 #include "gcl/sarif.hpp"
 #include "prover/refine.hpp"
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 using namespace cref;
 
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv, {});
-  if (cli.positional().size() != 2) {
+  const std::string unknown = cli.unknown_option({"alpha", "budget", "format"});
+  if (!unknown.empty()) std::fprintf(stderr, "gcl_refine: unknown option --%s\n", unknown.c_str());
+  if (!unknown.empty() || cli.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: gcl_refine [--alpha FILE] [--budget N] "
                  "[--format text|json|sarif] ABSTRACT.gcl CONCRETE.gcl\n"
@@ -74,11 +65,11 @@ int main(int argc, char** argv) {
   gcl::SystemAst a_ast, c_ast;
   gcl::AlphaSpec alpha;
   try {
-    a_ast = gcl::parse(read_file(a_path));
-    c_ast = gcl::parse(read_file(c_path));
+    a_ast = gcl::parse(util::read_file(a_path));
+    c_ast = gcl::parse(util::read_file(c_path));
     const std::string alpha_path = cli.get("alpha", "");
     alpha = alpha_path.empty() ? gcl::identity_alpha(c_ast, a_ast)
-                               : gcl::parse_alpha(read_file(alpha_path), c_ast, a_ast);
+                               : gcl::parse_alpha(util::read_file(alpha_path), c_ast, a_ast);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gcl_refine: %s\n", e.what());
     return 2;
