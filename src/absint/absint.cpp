@@ -5,6 +5,8 @@
 #include <deque>
 #include <memory>
 
+#include "gcl/compile.hpp"
+
 namespace cref::absint {
 namespace {
 
@@ -57,7 +59,7 @@ AbsBox hull_fixpoint(const gcl::SystemAst& ast, AbsBox start,
 
 AbsRegion region_from_predicate(const gcl::SystemAst& ast, const gcl::Expr& pred,
                                 std::size_t max_disjuncts) {
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cardinalities(ast);
   std::vector<const gcl::Expr*> disjuncts;
   split_or(pred, disjuncts);
   AbsRegion region;
@@ -78,14 +80,14 @@ AbsRegion region_from_predicate(const gcl::SystemAst& ast, const gcl::Expr& pred
 AbsRegion init_region(const gcl::SystemAst& ast, std::size_t max_disjuncts) {
   if (ast.init) return region_from_predicate(ast, *ast.init, max_disjuncts);
   AbsRegion region;
-  region.add(AbsBox::top(cards_of(ast)));
+  region.add(AbsBox::top(gcl::cardinalities(ast)));
   return region;
 }
 
 AbsintResult analyze_reachable_from(const gcl::SystemAst& ast, const AbsRegion& init,
                                     const AbsintOptions& opts) {
   auto t0 = std::chrono::steady_clock::now();
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cardinalities(ast);
   AbsintResult res;
   std::deque<AbsBox> work;
   for (const AbsBox& b : init.boxes) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "gcl/compile.hpp"
 #include "gcl/parser.hpp"
 #include "gcl/pretty.hpp"
 
@@ -26,7 +27,7 @@ bool post_covered(const AbsBox& post, const AbsRegion& region,
 
 std::optional<ClosureCertificate> make_closure_certificate(const gcl::SystemAst& ast,
                                                            const gcl::Expr& predicate) {
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cardinalities(ast);
   ClosureCertificate cert;
   cert.predicate = gcl::print_expr(predicate);
   cert.region = region_from_predicate(ast, predicate);
@@ -50,7 +51,7 @@ std::optional<ClosureCertificate> make_closure_certificate(const gcl::SystemAst&
 
 bool check_closure_certificate(const gcl::SystemAst& ast, const gcl::Expr& predicate,
                                const ClosureCertificate& cert) {
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cardinalities(ast);
   AbsRegion expect = region_from_predicate(ast, predicate);
   if (expect.boxes != cert.region.boxes) return false;
   if (cert.obligations.size() != cert.region.boxes.size() * ast.actions.size())

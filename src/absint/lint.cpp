@@ -29,25 +29,6 @@ bool guard_satisfiable_somewhere(const gcl::Expr& guard, const std::vector<int>&
   return refine_by_guard(box, guard, true);
 }
 
-/// Product of all cardinalities, saturating at cap + 1.
-std::size_t full_valuation_count(const std::vector<int>& cards, std::size_t cap) {
-  std::size_t p = 1;
-  for (int c : cards) {
-    p *= static_cast<std::size_t>(c);
-    if (p > cap) return cap + 1;
-  }
-  return p;
-}
-
-std::string format_state(const gcl::SystemAst& ast, const StateVec& s) {
-  std::string out;
-  for (std::size_t i = 0; i < ast.vars.size(); ++i) {
-    if (!out.empty()) out += ", ";
-    out += ast.vars[i].name + "=" + std::to_string(s[i]);
-  }
-  return out;
-}
-
 /// Exact init-closure counterexample: a state satisfying init whose
 /// post under some action does not. Enumerates the full product (the
 /// caller has checked the budget).
@@ -58,30 +39,29 @@ struct ClosureViolation {
 
 std::optional<ClosureViolation> find_exact_violation(const gcl::SystemAst& ast,
                                                      const std::vector<int>& cards) {
-  StateVec s(cards.size(), 0), post(cards.size(), 0);
-  while (true) {
-    if (gcl::eval(*ast.init, s) != 0) {
-      for (const auto& a : ast.actions) {
-        if (gcl::eval(a.guard, s) == 0) continue;
-        post = s;
-        std::vector<std::int64_t> values;
-        values.reserve(a.assignments.size());
-        for (const auto& asg : a.assignments) values.push_back(gcl::eval(asg.value, s));
-        for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-          std::size_t tgt = a.assignments[i].var_index;
-          post[tgt] = static_cast<Value>(gcl::eval_mod(values[i], cards[tgt]));
-        }
-        if (post == s) continue;  // no-op executions are not transitions
-        if (gcl::eval(*ast.init, post) == 0) return ClosureViolation{a.name, s, post};
+  std::optional<ClosureViolation> found;
+  StateVec s, post;
+  std::vector<std::int64_t> values;
+  gcl::for_each_valuation(gcl::all_vars(cards.size()), cards, s, [&](const StateVec& sv) {
+    if (gcl::eval(*ast.init, sv) == 0) return true;
+    for (const auto& a : ast.actions) {
+      if (gcl::eval(a.guard, sv) == 0) continue;
+      post = sv;
+      values.clear();
+      for (const auto& asg : a.assignments) values.push_back(gcl::eval(asg.value, sv));
+      for (std::size_t i = 0; i < a.assignments.size(); ++i) {
+        std::size_t tgt = a.assignments[i].var_index;
+        post[tgt] = static_cast<Value>(gcl::eval_mod(values[i], cards[tgt]));
+      }
+      if (post == sv) continue;  // no-op executions are not transitions
+      if (gcl::eval(*ast.init, post) == 0) {
+        found = ClosureViolation{a.name, sv, post};
+        return false;
       }
     }
-    std::size_t k = 0;
-    for (; k < cards.size(); ++k) {
-      if (static_cast<int>(++s[k]) < cards[k]) break;
-      s[k] = 0;
-    }
-    if (k == cards.size()) return std::nullopt;
-  }
+    return true;
+  });
+  return found;
 }
 
 }  // namespace
@@ -90,7 +70,7 @@ std::vector<Diagnostic> check_absint(const gcl::SystemAst& ast,
                                      const AbsintLintOptions& opts,
                                      AbsintResult* result) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = gcl::cardinalities(ast);
   AbsintResult res = analyze_reachable(ast, opts.absint);
   if (result) *result = res;
   const AbsRegion& rs = res.region;
@@ -174,13 +154,15 @@ std::vector<Diagnostic> check_absint(const gcl::SystemAst& ast,
 
   // --- absint-init-not-closed -----------------------------------------
   if (ast.init) {
-    if (full_valuation_count(cards, opts.exact_budget) <= opts.exact_budget) {
+    const std::vector<std::size_t> all = gcl::all_vars(cards.size());
+    if (gcl::valuation_count(all, cards, opts.exact_budget) <= opts.exact_budget) {
       if (auto v = find_exact_violation(ast, cards)) {
         out.push_back(
             {Rule::AbsintInitNotClosed, Severity::Warning, ast.init_loc,
              "init predicate is not closed under the actions: action '" + v->action +
-                 "' leads from " + format_state(ast, v->pre) + " (in init) to " +
-                 format_state(ast, v->post) + " (outside init)",
+                 "' leads from " + gcl::format_valuation(ast, v->pre, all) +
+                 " (in init) to " + gcl::format_valuation(ast, v->post, all) +
+                 " (outside init)",
              "closure of the legitimate-state predicate is the precondition of the "
              "paper's Theorems 1 and 3; widen init to an invariant if it is meant "
              "to be one"});

@@ -5,13 +5,6 @@ namespace cref::absint {
 using gcl::Expr;
 using gcl::Op;
 
-std::vector<int> cards_of(const gcl::SystemAst& ast) {
-  std::vector<int> cards;
-  cards.reserve(ast.vars.size());
-  for (const auto& v : ast.vars) cards.push_back(v.cardinality);
-  return cards;
-}
-
 std::vector<std::string> names_of(const gcl::SystemAst& ast) {
   std::vector<std::string> names;
   names.reserve(ast.vars.size());

@@ -17,10 +17,6 @@
 
 namespace cref::absint {
 
-/// Declared cardinalities of `ast.vars`, in declaration order (the
-/// AbsBox variable order used throughout this module).
-std::vector<int> cards_of(const gcl::SystemAst& ast);
-
 /// Variable names of `ast.vars` for box formatting.
 std::vector<std::string> names_of(const gcl::SystemAst& ast);
 

@@ -1,227 +1,12 @@
 #include "gcl/alpha.hpp"
 
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "gcl/compile.hpp"
-#include "gcl/lexer.hpp"
 #include "gcl/pretty.hpp"
 
 namespace cref::gcl {
-
-namespace {
-
-/// Recursive-descent parser over the shared token stream; the
-/// expression grammar (and precedence) is exactly parser.cpp's, with
-/// variable references resolved against the CONCRETE program.
-class AlphaParser {
- public:
-  AlphaParser(const std::string& source, const SystemAst& c_ast, const SystemAst& a_ast)
-      : toks_(lex(source)), c_(c_ast), a_(a_ast) {
-    for (std::size_t i = 0; i < c_.vars.size(); ++i) c_index_[c_.vars[i].name] = i;
-    for (std::size_t i = 0; i < a_.vars.size(); ++i) a_index_[a_.vars[i].name] = i;
-  }
-
-  Expr parse_expression() {
-    Expr e = parse_or();
-    expect(Tok::End, "end of input");
-    return e;
-  }
-
-  AlphaSpec parse() {
-    AlphaSpec spec;
-    expect_keyword("alpha");
-    spec.name = expect(Tok::Ident, "alpha name").text;
-    expect(Tok::LBrace, "'{'");
-    std::vector<char> defined(a_.vars.size(), 0);
-    while (!at(Tok::RBrace)) {
-      if (at_keyword("invariant")) {
-        const Token kw = advance();
-        if (spec.invariant) fail(kw, "duplicate invariant clause");
-        expect(Tok::Colon, "':'");
-        spec.invariant = std::make_unique<Expr>(parse_or());
-        spec.invariant_loc = {kw.line, kw.column};
-        expect(Tok::Semi, "';'");
-        continue;
-      }
-      const Token name = expect(Tok::Ident, "abstract variable name");
-      const auto it = a_index_.find(name.text);
-      if (it == a_index_.end())
-        fail(name, "'" + name.text + "' is not a variable of abstract system '" +
-                       a_.name + "'");
-      if (defined[it->second])
-        fail(name, "abstract variable '" + name.text + "' defined twice");
-      defined[it->second] = 1;
-      expect(Tok::Assign, "':='");
-      AlphaAssign def;
-      def.var = name.text;
-      def.a_index = it->second;
-      def.value = parse_or();
-      def.loc = {name.line, name.column};
-      spec.defs.push_back(std::move(def));
-      expect(Tok::Semi, "';'");
-    }
-    expect(Tok::RBrace, "'}'");
-    expect(Tok::End, "end of input");
-    for (std::size_t i = 0; i < a_.vars.size(); ++i)
-      if (!defined[i])
-        throw std::runtime_error("alpha: abstract variable '" + a_.vars[i].name +
-                                 "' has no definition in alpha '" + spec.name + "'");
-    return spec;
-  }
-
- private:
-  const Token& cur() const { return toks_[pos_]; }
-  bool at(Tok k) const { return cur().kind == k; }
-  bool at_keyword(const char* kw) const {
-    return cur().kind == Tok::Ident && cur().text == kw;
-  }
-  Token advance() { return toks_[pos_++]; }
-
-  [[noreturn]] void fail(const Token& t, const std::string& msg) const {
-    std::ostringstream out;
-    out << "alpha: line " << t.line << ":" << t.column << ": " << msg;
-    throw std::runtime_error(out.str());
-  }
-
-  Token expect(Tok k, const char* what) {
-    if (!at(k)) fail(cur(), std::string("expected ") + what);
-    return advance();
-  }
-  void expect_keyword(const char* kw) {
-    if (!at_keyword(kw)) fail(cur(), std::string("expected '") + kw + "'");
-    advance();
-  }
-
-  Expr leaf(const Token& t, Op op) const {
-    Expr e;
-    e.op = op;
-    e.loc = {t.line, t.column};
-    return e;
-  }
-  Expr binary(Op op, const Token& t, Expr a, Expr b) const {
-    Expr e;
-    e.op = op;
-    e.loc = {t.line, t.column};
-    e.children.push_back(std::move(a));
-    e.children.push_back(std::move(b));
-    return e;
-  }
-
-  Expr parse_or() {
-    Expr e = parse_and();
-    while (at(Tok::OrOr)) {
-      const Token t = advance();
-      e = binary(Op::Or, t, std::move(e), parse_and());
-    }
-    return e;
-  }
-  Expr parse_and() {
-    Expr e = parse_cmp();
-    while (at(Tok::AndAnd)) {
-      const Token t = advance();
-      e = binary(Op::And, t, std::move(e), parse_cmp());
-    }
-    return e;
-  }
-  Expr parse_cmp() {
-    Expr e = parse_add();
-    while (at(Tok::Eq) || at(Tok::Ne) || at(Tok::Lt) || at(Tok::Le) || at(Tok::Gt) ||
-           at(Tok::Ge)) {
-      const Token t = advance();
-      Op op = Op::Eq;
-      switch (t.kind) {
-        case Tok::Eq: op = Op::Eq; break;
-        case Tok::Ne: op = Op::Ne; break;
-        case Tok::Lt: op = Op::Lt; break;
-        case Tok::Le: op = Op::Le; break;
-        case Tok::Gt: op = Op::Gt; break;
-        default: op = Op::Ge; break;
-      }
-      e = binary(op, t, std::move(e), parse_add());
-    }
-    return e;
-  }
-  Expr parse_add() {
-    Expr e = parse_mul();
-    while (at(Tok::Plus) || at(Tok::Minus)) {
-      const Token t = advance();
-      e = binary(t.kind == Tok::Plus ? Op::Add : Op::Sub, t, std::move(e), parse_mul());
-    }
-    return e;
-  }
-  Expr parse_mul() {
-    Expr e = parse_unary();
-    while (at(Tok::Star) || at(Tok::Percent) || at(Tok::Slash)) {
-      const Token t = advance();
-      const Op op = t.kind == Tok::Star    ? Op::Mul
-                    : t.kind == Tok::Percent ? Op::Mod
-                                             : Op::Div;
-      e = binary(op, t, std::move(e), parse_unary());
-    }
-    return e;
-  }
-  Expr parse_unary() {
-    if (at(Tok::Bang)) {
-      const Token t = advance();
-      Expr e = leaf(t, Op::Not);
-      e.children.push_back(parse_unary());
-      return e;
-    }
-    if (at(Tok::Minus)) {
-      const Token t = advance();
-      Expr e = leaf(t, Op::Neg);
-      e.children.push_back(parse_unary());
-      return e;
-    }
-    return parse_atom();
-  }
-  Expr parse_atom() {
-    if (at(Tok::Number)) {
-      const Token t = advance();
-      Expr e = leaf(t, Op::Const);
-      e.value = t.number;
-      return e;
-    }
-    if (at(Tok::LParen)) {
-      advance();
-      Expr e = parse_or();
-      expect(Tok::RParen, "')'");
-      return e;
-    }
-    if (at(Tok::Ident)) {
-      const Token t = advance();
-      const auto it = c_index_.find(t.text);
-      if (it == c_index_.end())
-        fail(t, "'" + t.text + "' is not a variable of concrete system '" + c_.name +
-                    "'");
-      Expr e = leaf(t, Op::Var);
-      e.name = t.text;
-      e.var_index = it->second;
-      return e;
-    }
-    fail(cur(), "expected an expression");
-  }
-
-  std::vector<Token> toks_;
-  std::size_t pos_ = 0;
-  const SystemAst& c_;
-  const SystemAst& a_;
-  std::map<std::string, std::size_t> c_index_;
-  std::map<std::string, std::size_t> a_index_;
-};
-
-}  // namespace
-
-AlphaSpec parse_alpha(const std::string& source, const SystemAst& c_ast,
-                      const SystemAst& a_ast) {
-  return AlphaParser(source, c_ast, a_ast).parse();
-}
-
-Expr parse_expr_over(const std::string& text, const SystemAst& ast) {
-  return AlphaParser(text, ast, ast).parse_expression();
-}
 
 AlphaSpec identity_alpha(const SystemAst& c_ast, const SystemAst& a_ast) {
   AlphaSpec spec;

@@ -15,6 +15,11 @@
 // Every abstract variable must be defined exactly once; the value is
 // reduced into the abstract domain with the same Euclidean eval_mod the
 // compiler applies to assignments, so alpha_image is total on Sigma_C.
+//
+// The text is read by the system grammar of parser.hpp — its
+// expressions, `true`/`false` and depth bound included — with right-hand
+// sides resolved over the concrete program's variables and left-hand
+// sides over the abstract one's; errors read "alpha: line L:C: ...".
 
 #include <memory>
 #include <string>
@@ -81,7 +86,8 @@ void alpha_image(const AlphaSpec& spec, const SystemAst& a_ast, const StateVec& 
 
 /// Parses one expression over `ast`'s variables (refinement
 /// certificates store their expressions as re-parseable GCL text).
-/// Throws std::runtime_error on any syntax or resolution error.
+/// Throws std::runtime_error on any syntax or resolution error, an
+/// expression deeper than kMaxExprDepth included.
 Expr parse_expr_over(const std::string& text, const SystemAst& ast);
 
 }  // namespace cref::gcl

@@ -12,65 +12,6 @@ namespace cref::gcl {
 
 namespace {
 
-std::vector<int> cards_of(const SystemAst& ast) {
-  std::vector<int> cards;
-  cards.reserve(ast.vars.size());
-  for (const VarDeclAst& v : ast.vars) cards.push_back(v.cardinality);
-  return cards;
-}
-
-void collect_vars(const Expr& e, std::vector<char>& used) {
-  if (e.op == Op::Var && e.var_index < used.size()) used[e.var_index] = 1;
-  for (const Expr& c : e.children) collect_vars(c, used);
-}
-
-std::vector<std::size_t> used_list(const std::vector<char>& used) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < used.size(); ++i)
-    if (used[i]) out.push_back(i);
-  return out;
-}
-
-/// Product of the referenced domains, saturating at cap + 1.
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap) {
-  std::size_t p = 1;
-  for (std::size_t v : vars) {
-    p *= static_cast<std::size_t>(cards[v]);
-    if (p > cap) return cap + 1;
-  }
-  return p;
-}
-
-/// Odometer over the listed variables; every other variable stays 0
-/// (sound: callers only evaluate expressions over the listed vars).
-/// `fn` returns false to stop early.
-template <class Fn>
-void for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& s, Fn&& fn) {
-  for (std::size_t v : vars) s[v] = 0;
-  while (true) {
-    if (!fn(s)) return;
-    std::size_t k = 0;
-    for (; k < vars.size(); ++k) {
-      std::size_t v = vars[k];
-      if (static_cast<int>(++s[v]) < cards[v]) break;
-      s[v] = 0;
-    }
-    if (k == vars.size()) return;
-  }
-}
-
-std::string format_valuation(const std::vector<std::size_t>& vars, const StateVec& s,
-                             const SystemAst& ast) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    if (i) out << ", ";
-    out << ast.vars[vars[i]].name << "=" << static_cast<int>(s[vars[i]]);
-  }
-  return out.str();
-}
-
 // --- interval analysis (fallback above the exact budget) -------------
 
 struct Interval {
@@ -188,12 +129,12 @@ std::string domain_str(int card) { return "0.." + std::to_string(card - 1); }
 
 std::vector<Diagnostic> check_guards(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = cardinalities(ast);
   StateVec s(cards.size(), 0);
   for (const ActionAst& a : ast.actions) {
     std::vector<char> used(cards.size(), 0);
-    collect_vars(a.guard, used);
-    std::vector<std::size_t> vars = used_list(used);
+    mark_footprint(a.guard, used);
+    std::vector<std::size_t> vars = marked_vars(used);
     bool any_true = false, any_false = false;
     if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
       for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -227,15 +168,15 @@ std::vector<Diagnostic> check_guards(const SystemAst& ast, const AnalyzeOptions&
 std::vector<Diagnostic> check_domain_flow(const SystemAst& ast,
                                           const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = cardinalities(ast);
   StateVec s(cards.size(), 0);
   for (const ActionAst& a : ast.actions) {
     for (const AssignmentAst& asg : a.assignments) {
       int card = cards[asg.var_index];
       std::vector<char> used(cards.size(), 0);
-      collect_vars(a.guard, used);  // guard-aware: only enabled states matter
-      collect_vars(asg.value, used);
-      std::vector<std::size_t> vars = used_list(used);
+      mark_footprint(a.guard, used);  // guard-aware: only enabled states matter
+      mark_footprint(asg.value, used);
+      std::vector<std::size_t> vars = marked_vars(used);
       if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
         bool any = false;
         std::int64_t mn = 0, mx = 0;
@@ -291,7 +232,7 @@ struct DivisorScan {
   std::vector<Diagnostic> out;
 
   explicit DivisorScan(const SystemAst& a, const AnalyzeOptions& o)
-      : ast(a), opts(o), cards(cards_of(a)), s(cards.size(), 0) {}
+      : ast(a), opts(o), cards(cardinalities(a)), s(cards.size(), 0) {}
 
   // Walks `e`; `guard` (may be null) restricts RHS checks to states
   // where the enclosing action is enabled.
@@ -301,9 +242,9 @@ struct DivisorScan {
     const Expr& divisor = e.children[1];
     const char* sym = e.op == Op::Div ? "/" : "%";
     std::vector<char> used(cards.size(), 0);
-    collect_vars(divisor, used);
-    if (guard) collect_vars(*guard, used);
-    std::vector<std::size_t> vars = used_list(used);
+    mark_footprint(divisor, used);
+    if (guard) mark_footprint(*guard, used);
+    std::vector<std::size_t> vars = marked_vars(used);
     if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
       bool any_zero = false, any_nonzero = false, any_enabled = false;
       std::string witness;
@@ -311,7 +252,7 @@ struct DivisorScan {
         if (guard && eval(*guard, st) == 0) return true;
         any_enabled = true;
         if (eval(divisor, st) == 0) {
-          if (!any_zero) witness = format_valuation(vars, st, ast);
+          if (!any_zero) witness = format_valuation(ast, st, vars);
           any_zero = true;
         } else {
           any_nonzero = true;
@@ -378,8 +319,8 @@ namespace {
 bool guard_provably_false(const ActionAst& a, const std::vector<int>& cards,
                           const AnalyzeOptions& opts, StateVec& s) {
   std::vector<char> used(cards.size(), 0);
-  collect_vars(a.guard, used);
-  std::vector<std::size_t> vars = used_list(used);
+  mark_footprint(a.guard, used);
+  std::vector<std::size_t> vars = marked_vars(used);
   if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
     bool any_true = false;
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -395,7 +336,7 @@ bool guard_provably_false(const ActionAst& a, const std::vector<int>& cards,
 
 std::vector<Diagnostic> check_liveness(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = cardinalities(ast);
   StateVec scratch(cards.size(), 0);
   std::vector<char> read(ast.vars.size(), 0), written(ast.vars.size(), 0);
   for (const ActionAst& a : ast.actions) {
@@ -403,13 +344,13 @@ std::vector<Diagnostic> check_liveness(const SystemAst& ast, const AnalyzeOption
     // check_guards) contributes no reads or writes: a variable
     // referenced only there is as unused as if the action were deleted.
     if (guard_provably_false(a, cards, opts, scratch)) continue;
-    collect_vars(a.guard, read);
+    mark_footprint(a.guard, read);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, read);
+      mark_footprint(asg.value, read);
       if (asg.var_index < written.size()) written[asg.var_index] = 1;
     }
   }
-  if (ast.init) collect_vars(*ast.init, read);
+  if (ast.init) mark_footprint(*ast.init, read);
   for (std::size_t i = 0; i < ast.vars.size(); ++i) {
     const VarDeclAst& v = ast.vars[i];
     if (!read[i] && !written[i]) {
@@ -438,7 +379,7 @@ std::vector<Diagnostic> check_liveness(const SystemAst& ast, const AnalyzeOption
 
 std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = cardinalities(ast);
   StateVec s(cards.size(), 0);
 
   // Duplicate names.
@@ -457,12 +398,12 @@ std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions
   // Stutter and self-disabling, decided by one exhaustive walk each.
   for (const ActionAst& a : ast.actions) {
     std::vector<char> used(cards.size(), 0);
-    collect_vars(a.guard, used);
+    mark_footprint(a.guard, used);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, used);
+      mark_footprint(asg.value, used);
       if (asg.var_index < used.size()) used[asg.var_index] = 1;
     }
-    std::vector<std::size_t> vars = used_list(used);
+    std::vector<std::size_t> vars = marked_vars(used);
     if (valuation_count(vars, cards, opts.exact_budget) > opts.exact_budget)
       continue;  // above the exact budget: these two rules stay silent
 
@@ -485,7 +426,7 @@ std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions
       }
       if (post != st) all_identity = false;
       if (re_witness.empty() && eval(a.guard, post) != 0)
-        re_witness = format_valuation(vars, st, ast);
+        re_witness = format_valuation(ast, st, vars);
       return !(!all_identity && !re_witness.empty());  // both facts known
     });
 
@@ -533,11 +474,11 @@ std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions
 std::vector<Diagnostic> check_init(const SystemAst& ast, const AnalyzeOptions& opts) {
   std::vector<Diagnostic> out;
   if (!ast.init) return out;  // wrapper: no initial states by design
-  std::vector<int> cards = cards_of(ast);
+  std::vector<int> cards = cardinalities(ast);
   StateVec s(cards.size(), 0);
   std::vector<char> used(cards.size(), 0);
-  collect_vars(*ast.init, used);
-  std::vector<std::size_t> vars = used_list(used);
+  mark_footprint(*ast.init, used);
+  std::vector<std::size_t> vars = marked_vars(used);
   bool any_true = false;
   if (valuation_count(vars, cards, opts.exact_budget) <= opts.exact_budget) {
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
@@ -582,17 +523,17 @@ ReadWriteReport read_write_report(const SystemAst& ast) {
   std::vector<std::set<int>> writers(ast.vars.size()), readers(ast.vars.size());
   for (const ActionAst& a : ast.actions) {
     std::vector<char> reads(ast.vars.size(), 0), writes(ast.vars.size(), 0);
-    collect_vars(a.guard, reads);
+    mark_footprint(a.guard, reads);
     for (const AssignmentAst& asg : a.assignments) {
-      collect_vars(asg.value, reads);
+      mark_footprint(asg.value, reads);
       if (asg.var_index < writes.size()) writes[asg.var_index] = 1;
     }
     ActionRW rw;
     rw.action = a.name;
     rw.process = a.process;
     rw.loc = a.loc;
-    rw.reads = used_list(reads);
-    rw.writes = used_list(writes);
+    rw.reads = marked_vars(reads);
+    rw.writes = marked_vars(writes);
     if (a.process >= 0) {
       for (std::size_t v : rw.reads) readers[v].insert(a.process);
       for (std::size_t v : rw.writes) writers[v].insert(a.process);

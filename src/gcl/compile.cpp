@@ -1,5 +1,6 @@
 #include "gcl/compile.hpp"
 
+#include <limits>
 #include <memory>
 
 #include "gcl/parser.hpp"
@@ -46,13 +47,65 @@ std::int64_t eval(const Expr& e, const StateVec& s) {
   return 0;
 }
 
+std::vector<int> cardinalities(const SystemAst& ast) {
+  std::vector<int> cards;
+  cards.reserve(ast.vars.size());
+  for (const VarDeclAst& v : ast.vars) cards.push_back(v.cardinality);
+  return cards;
+}
+
+void mark_footprint(const Expr& e, std::vector<char>& used) {
+  if (e.op == Op::Var && e.var_index < used.size()) used[e.var_index] = 1;
+  for (const Expr& c : e.children) mark_footprint(c, used);
+}
+
+std::vector<std::size_t> marked_vars(const std::vector<char>& used) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < used.size(); ++i)
+    if (used[i]) out.push_back(i);
+  return out;
+}
+
+std::vector<std::size_t> footprint(const Expr& e, std::size_t num_vars) {
+  std::vector<char> used(num_vars, 0);
+  mark_footprint(e, used);
+  return marked_vars(used);
+}
+
+std::vector<std::size_t> all_vars(std::size_t n) {
+  std::vector<std::size_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = i;
+  return v;
+}
+
+std::size_t valuation_count(const std::vector<std::size_t>& vars,
+                            const std::vector<int>& cards, std::size_t cap) {
+  std::size_t count = 1;
+  for (std::size_t v : vars) {
+    const auto card = static_cast<std::size_t>(cards[v]);
+    if (card == 0) return 0;
+    if (count > cap / card) return std::numeric_limits<std::size_t>::max();
+    count *= card;
+  }
+  return count;
+}
+
+std::string format_valuation(const SystemAst& ast, const StateVec& s,
+                             const std::vector<std::size_t>& vars) {
+  std::string out;
+  for (std::size_t v : vars) {
+    if (!out.empty()) out += ", ";
+    out += ast.vars[v].name + "=" + std::to_string(s[v]);
+  }
+  return out;
+}
+
 System compile(const SystemAst& ast) {
   std::vector<VarSpec> vars;
-  std::vector<int> cards;
-  for (const VarDeclAst& v : ast.vars) {
+  vars.reserve(ast.vars.size());
+  for (const VarDeclAst& v : ast.vars)
     vars.push_back({v.name, static_cast<Value>(v.cardinality)});
-    cards.push_back(v.cardinality);
-  }
+  const std::vector<int> cards = cardinalities(ast);
   auto space = std::make_shared<Space>(std::move(vars));
 
   std::vector<Action> actions;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/system.hpp"
 #include "gcl/ast.hpp"
@@ -23,6 +25,58 @@ std::int64_t eval_mod(std::int64_t a, std::int64_t b);
 /// holds for every nonzero b; division or modulo by zero evaluates to 0
 /// (total semantics — model checking must not trap on corrupted states).
 std::int64_t eval(const Expr& e, const StateVec& s);
+
+// --- valuations: the finite-domain enumeration every static pass runs --
+//
+// The linter, the abstract-interpretation lint and both static provers
+// decide their questions by enumerating the valuations of an
+// expression's FOOTPRINT (the variables it reads), with every other
+// variable pinned to 0, under a budget on the number of valuations.
+
+/// Declared cardinalities of ast.vars, in declaration order.
+std::vector<int> cardinalities(const SystemAst& ast);
+
+/// Sets used[v] for every variable v < used.size() that `e` references.
+void mark_footprint(const Expr& e, std::vector<char>& used);
+
+/// The indices v with used[v] set, ascending.
+std::vector<std::size_t> marked_vars(const std::vector<char>& used);
+
+/// Sorted distinct indices of the variables `e` references.
+std::vector<std::size_t> footprint(const Expr& e, std::size_t num_vars);
+
+/// [0, n) — the footprint of a whole-state enumeration.
+std::vector<std::size_t> all_vars(std::size_t n);
+
+/// Product of the listed variables' cardinalities; SIZE_MAX once the
+/// product exceeds `cap`.
+std::size_t valuation_count(const std::vector<std::size_t>& vars,
+                            const std::vector<int>& cards, std::size_t cap);
+
+/// Calls `f(state)` for every valuation of `vars` (odometer order, the
+/// first listed variable fastest), with every other variable pinned to
+/// 0 — sound for expressions whose footprint is within `vars`. Stops
+/// early when `f` returns false; returns false iff stopped early.
+template <class Fn>
+bool for_each_valuation(const std::vector<std::size_t>& vars,
+                        const std::vector<int>& cards, StateVec& state, Fn&& f) {
+  state.assign(cards.size(), 0);
+  while (true) {
+    if (!f(static_cast<const StateVec&>(state))) return false;
+    std::size_t i = 0;
+    for (; i < vars.size(); ++i) {
+      const std::size_t v = vars[i];
+      if (++state[v] < cards[v]) break;
+      state[v] = 0;
+    }
+    if (i == vars.size()) return true;
+  }
+}
+
+/// `name=value, ...` over the listed variables of `s` (diagnostic
+/// witnesses and refutation rows).
+std::string format_valuation(const SystemAst& ast, const StateVec& s,
+                             const std::vector<std::size_t>& vars);
 
 /// Compiles a parsed system into a cref::System over a fresh Space.
 /// Assignment values are reduced into the variable's domain modulo its

@@ -6,7 +6,6 @@
 
 #include "gcl/compile.hpp"
 #include "prover/rank.hpp"
-#include "prover/templates.hpp"
 
 namespace cref::prover {
 
@@ -53,11 +52,11 @@ ExprRange expr_range(const Expr& e, const std::vector<int>& cards) {
       return {*std::min_element(p, p + 4), *std::max_element(p, p + 4)};
     }
     case Op::Mod: {
-      // Euclidean: 0 <= a % b < |b| for b != 0 (eval_mod(a, 0) == a).
+      // Euclidean: 0 <= a % b < |b| for b != 0 (eval_mod(a, 0) == 0).
       const ExprRange a = expr_range(e.children[0], cards);
       const ExprRange b = expr_range(e.children[1], cards);
       const std::int64_t mag = std::max(std::abs(b.lo), std::abs(b.hi));
-      if (b.lo <= 0 && b.hi >= 0)  // divisor may be 0: a % 0 == a
+      if (b.lo <= 0 && b.hi >= 0)  // divisor may be 0: a % 0 == 0, inside the range
         return {std::min<std::int64_t>(0, a.lo), std::max(a.hi, mag - 1)};
       return {0, mag - 1};
     }
@@ -95,8 +94,8 @@ Expr disj(std::vector<Expr> terms) {
 AlphaCtx::AlphaCtx(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                    const gcl::AlphaSpec& spec)
     : c(c_ast), a(a_ast), alpha(spec) {
-  c_cards = prover_cards(c_ast);
-  a_cards = prover_cards(a_ast);
+  c_cards = gcl::cardinalities(c_ast);
+  a_cards = gcl::cardinalities(a_ast);
   img.resize(a_ast.vars.size(), make_const(0));
   for (const gcl::AlphaAssign& d : spec.defs)
     img[d.a_index] = wrap_mod(d.value, a_cards[d.a_index], c_cards);

@@ -18,34 +18,20 @@ using gcl::Op;
 
 namespace {
 
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
-
 /// Per-action synthesis state.
 struct ActionState {
   Expr guard;
   Expr changed;
   Expr not_p;       // Const 1 for Termination
   Expr not_p_post;  // Const 1 for Termination
-  bool vacuous = false;
-  bool ranked = false;
-  std::vector<Expr> ties;  // Delta rho_j == 0 for accepted components
 };
 
-/// Obligation context for one action: {guard, changed, !P, !P', ties}.
+/// Obligation context for one action: {guard, changed, !P, !P'}.
 /// guard/changed are mandatory; the rest may be dropped (sound
 /// strengthening: prove the decrease on MORE states).
-void action_context(const ActionState& st, std::vector<const Expr*>& ctx,
-                    std::vector<bool>& droppable) {
-  ctx = {&st.guard, &st.changed, &st.not_p, &st.not_p_post};
-  droppable = {false, false, true, true};
-  for (const Expr& t : st.ties) {
-    ctx.push_back(&t);
-    droppable.push_back(true);
-  }
-}
-
-std::string short_detail(const gcl::ActionAst& a, const std::string& comp_pretty) {
-  return a.name + " vs " + comp_pretty;
+SymbolicObligation action_context(std::size_t action, const ActionState& st) {
+  return {action, {&st.guard, &st.changed, &st.not_p, &st.not_p_post},
+          {false, false, true, true}, true};
 }
 
 /// Closure discharge ladder for one action; appends obligations on
@@ -53,58 +39,38 @@ std::string short_detail(const gcl::ActionAst& a, const std::string& comp_pretty
 /// (-1 unknown, 0 invalid, 1 valid).
 bool discharge_closure_action(const gcl::SystemAst& ast, const gcl::Expr& target,
                               const std::vector<const Expr*>& p_conjuncts,
-                              std::size_t action_index, const ActionState& st,
-                              const DecideOptions& dopts, int* absint_ok,
-                              std::vector<Obligation>& obligations) {
+                              std::size_t action_index, const Expr& guard,
+                              const Expr& changed, const DecideOptions& dopts,
+                              int* absint_ok, std::vector<Obligation>& obligations) {
   const gcl::ActionAst& a = ast.actions[action_index];
-  const std::vector<int> cards = prover_cards(ast);
-
-  // (a) Vacuity: guard && changed && P unsatisfiable (an action that
-  // cannot fire inside P preserves it trivially). P conjuncts are
-  // droppable: an unsatisfiable subset witnesses the whole.
-  {
-    std::vector<const Expr*> ctx = {&st.guard, &st.changed};
-    std::vector<bool> drop = {false, false};
-    for (const Expr* p : p_conjuncts) {
-      ctx.push_back(p);
-      drop.push_back(true);
-    }
-    const DecideOutcome r = decide_unsat(ast, ctx, drop, dopts);
-    if (r.proved) {
-      obligations.push_back({Obligation::Kind::Closure, a.name, 0, Discharge::Vacuous,
-                             r.valuations, "never fires inside target"});
-      return true;
-    }
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  // guard && changed, with the P conjuncts droppable: an unsatisfiable
+  // subset witnesses the whole, and footprints stay local.
+  std::vector<const Expr*> ctx = {&guard, &changed};
+  std::vector<bool> drop = {false, false};
+  for (const Expr* p : p_conjuncts) {
+    ctx.push_back(p);
+    drop.push_back(true);
   }
 
-  // (b) Per-conjunct preservation: P && guard && changed => P_i(post),
-  // with the P conjuncts droppable so footprints stay local.
-  {
-    bool all = true;
-    std::size_t valuations = 0;
-    Discharge worst = Discharge::Vacuous;
-    for (const Expr* pi : p_conjuncts) {
-      const Expr post = post_expr(*pi, a, cards);
-      std::vector<const Expr*> ctx = {&st.guard, &st.changed};
-      std::vector<bool> drop = {false, false};
-      for (const Expr* p : p_conjuncts) {
-        ctx.push_back(p);
-        drop.push_back(true);
-      }
-      const DecideOutcome r = decide_always(ast, post, ctx, drop, dopts);
-      if (!r.proved) {
-        all = false;
-        break;
-      }
-      valuations += r.valuations;
-      if (r.method != Discharge::Vacuous) worst = r.method;
-    }
-    if (all) {
-      obligations.push_back({Obligation::Kind::Closure, a.name, 0, worst, valuations,
-                             std::to_string(p_conjuncts.size()) +
-                                 " conjunct(s) preserved"});
-      return true;
-    }
+  // (a) Vacuity: guard && changed && P unsatisfiable (an action that
+  // cannot fire inside P preserves it trivially).
+  DecideOutcome r = decide_unsat(ast, ctx, drop, dopts);
+  if (r.proved) {
+    obligations.push_back({Obligation::Kind::Closure, a.name, 0, Discharge::Vacuous,
+                           r.valuations, "never fires inside target"});
+    return true;
+  }
+
+  // (b) Per-conjunct preservation: P && guard && changed => P_i(post).
+  std::vector<Expr> posts;
+  posts.reserve(p_conjuncts.size());
+  for (const Expr* pi : p_conjuncts) posts.push_back(post_expr(*pi, a, cards));
+  r = decide_all(ast, posts, ctx, drop, dopts);
+  if (r.proved) {
+    obligations.push_back({Obligation::Kind::Closure, a.name, 0, r.method, r.valuations,
+                           std::to_string(p_conjuncts.size()) + " conjunct(s) preserved"});
+    return true;
   }
 
   // (c) Global absint fallback — sound for P ONLY when the abstraction
@@ -171,7 +137,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   cert.budget = opts.budget;
   cert.ranked_at.assign(ast.actions.size(), kUnranked);
 
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   const std::size_t n = ast.vars.size();
   const DecideOptions dopts{opts.budget};
   const InterferenceGraph ig = build_interference(ast);
@@ -180,105 +146,46 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
 
   // Per-action contexts + vacuity (no transition with both ends in !P).
   std::vector<ActionState> st(ast.actions.size());
-  std::vector<std::size_t> unranked;
+  std::vector<SymbolicObligation> owed;
   for (std::size_t i = 0; i < ast.actions.size(); ++i) {
     const gcl::ActionAst& a = ast.actions[i];
     st[i].guard = a.guard;
     st[i].changed = changed_expr(a, cards);
     st[i].not_p = not_p;
     st[i].not_p_post = target ? post_expr(not_p, a, cards) : make_const(1);
-    std::vector<const Expr*> ctx;
-    std::vector<bool> drop;
-    action_context(st[i], ctx, drop);
-    const DecideOutcome r = decide_unsat(ast, ctx, drop, dopts);
+    SymbolicObligation ob = action_context(i, st[i]);
+    const DecideOutcome r = decide_unsat(ast, ob.context, ob.droppable, dopts);
     if (r.proved) {
-      st[i].vacuous = true;
       cert.obligations.push_back({Obligation::Kind::Vacuous, a.name, 0, r.method,
                                   r.valuations,
                                   target ? "no transition outside target"
                                          : "no state-changing execution"});
     } else {
-      unranked.push_back(i);
+      owed.push_back(std::move(ob));
     }
   }
 
   // Greedy lexicographic synthesis over the template pool.
-  const std::vector<Candidate> pool = template_pool(ast, ig, opts.max_pool);
-  for (const Candidate& cand : pool) {
-    if (unranked.empty() || cert.components.size() >= opts.max_components) break;
-
-    struct Eval {
-      std::size_t action;
-      Expr delta;
-      bool strict;
-      DecideOutcome outcome;
-    };
-    std::vector<Eval> evals;
-    bool rejected = false;
-    bool any_strict = false;
-    for (std::size_t i : unranked) {
-      Expr delta = delta_expr(cand.expr, ast.actions[i], cards);
-      std::vector<const Expr*> ctx;
-      std::vector<bool> drop;
-      action_context(st[i], ctx, drop);
-      const Expr strict_prop = make_binary(Op::Lt, delta, make_const(0));
-      DecideOutcome r = decide_always(ast, strict_prop, ctx, drop, dopts);
-      bool strict = r.proved;
-      if (!strict) {
-        const Expr noninc_prop = make_binary(Op::Le, delta, make_const(0));
-        r = decide_always(ast, noninc_prop, ctx, drop, dopts);
-        if (!r.proved) {
-          rejected = true;
-          break;
-        }
-      }
-      any_strict |= strict;
-      evals.push_back({i, std::move(delta), strict, r});
-    }
-    if (rejected) continue;
-    if (!any_strict) {
-      // A component that provably never moves for anyone adds no
-      // information — require a possible decrease for someone.
-      bool useful = false;
-      for (const Eval& e : evals) {
-        std::vector<const Expr*> ctx;
-        std::vector<bool> drop;
-        action_context(st[e.action], ctx, drop);
-        const Expr still = make_binary(Op::Eq, e.delta, make_const(0));
-        if (!decide_always(ast, still, ctx, drop, dopts).proved) {
-          useful = true;
-          break;
-        }
-      }
-      if (!useful) continue;
-    }
-
-    const std::size_t comp = cert.components.size();
-    cert.components.push_back({RankComponent::Kind::Template, cand.pretty, cand.expr, {}});
-    std::vector<std::size_t> still_unranked;
-    for (Eval& e : evals) {
-      const gcl::ActionAst& a = ast.actions[e.action];
-      if (e.strict) {
-        cert.ranked_at[e.action] = comp;
-        st[e.action].ranked = true;
-        cert.obligations.push_back({Obligation::Kind::StrictDecrease, a.name, comp,
-                                    e.outcome.method, e.outcome.valuations,
-                                    short_detail(a, cand.pretty)});
-      } else {
-        cert.obligations.push_back({Obligation::Kind::NonIncrease, a.name, comp,
-                                    e.outcome.method, e.outcome.valuations,
-                                    short_detail(a, cand.pretty)});
-        st[e.action].ties.push_back(make_binary(Op::Eq, std::move(e.delta), make_const(0)));
-        still_unranked.push_back(e.action);
-      }
-    }
-    unranked = std::move(still_unranked);
+  LexSynthesis syn = synthesize_ranking(ast, template_pool(ast, ig, opts.max_pool), owed,
+                                        {}, opts.max_components, dopts);
+  for (const LexSynthesis::Step& step : syn.steps) {
+    const std::size_t action = owed[step.obligation].action;
+    if (step.strict) cert.ranked_at[action] = step.component;
+    cert.obligations.push_back(
+        {step.strict ? Obligation::Kind::StrictDecrease : Obligation::Kind::NonIncrease,
+         ast.actions[action].name, step.component, step.outcome.method,
+         step.outcome.valuations,
+         ast.actions[action].name + " vs " + syn.components[step.component].pretty});
   }
+  cert.components = std::move(syn.components);
+  std::vector<std::size_t> unranked;
+  unranked.reserve(syn.unranked.size());
+  for (std::size_t o : syn.unranked) unranked.push_back(owed[o].action);
 
   // Enumerated-table final component for whatever the templates missed.
   if (!unranked.empty()) {
     const Packing pack(cards);
-    const std::size_t total = valuation_count(all_vars(n), cards, opts.budget);
+    const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, opts.budget);
     if (total > opts.budget) {
       std::string names;
       for (std::size_t i : unranked) names += (names.empty() ? "" : ", ") + ast.actions[i].name;
@@ -306,7 +213,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
 
       std::vector<std::uint32_t> indeg(total, 0);
       StateVec s, post;
-      for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
+      gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
         residual_succ(sv, post, [&](std::size_t t) { ++indeg[t]; });
         return true;
       });
@@ -385,7 +292,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       cert.obligations.insert(cert.obligations.end(), progress_obs.begin(),
                               progress_obs.end());
     } else {
-      const std::size_t total = valuation_count(all_vars(n), cards, opts.budget);
+      const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, opts.budget);
       if (total > opts.budget) {
         progress_ok = false;
         result.failures.push_back(
@@ -393,7 +300,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       } else {
         StateVec s, post;
         bool deadlock = false;
-        for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
+        gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
           if (!truthy(not_p, sv)) return true;
           for (const gcl::ActionAst& a : ast.actions) {
             if (!truthy(a.guard, sv)) continue;
@@ -423,8 +330,8 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
     bool all = true;
     std::vector<Obligation> closure_obs;
     for (std::size_t i = 0; i < ast.actions.size() && all; ++i)
-      all = discharge_closure_action(ast, *target, p_conjuncts, i, st[i], dopts,
-                                     &absint_ok, closure_obs);
+      all = discharge_closure_action(ast, *target, p_conjuncts, i, st[i].guard,
+                                     st[i].changed, dopts, &absint_ok, closure_obs);
     if (all) {
       cert.closure_proved = true;
       cert.obligations.insert(cert.obligations.end(), closure_obs.begin(),
@@ -455,18 +362,13 @@ ProveResult prove_termination(const gcl::SystemAst& ast, const ProveOptions& opt
 
 namespace {
 
-bool reject(std::string* why, std::string msg) {
-  if (why) *why = std::move(msg);
-  return false;
-}
-
 /// Complete edge-level re-check: enumerate Sigma and verify the
 /// SEMANTIC claims directly — every transition with both ends outside P
 /// lexicographically decreases the tuple, no state outside P deadlocks,
 /// and (when claimed) P is closed. ranked_at is not trusted at all.
 bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
                      const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   const std::size_t n = ast.vars.size();
   const Packing pack(cards);
 
@@ -477,7 +379,7 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
   StateVec s, post;
   bool ok = true;
   std::string reason;
-  for_each_valuation(all_vars(n), cards, s, [&](const StateVec& sv) {
+  gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
     const bool in_p = target && truthy(*target, sv);
     bool has_move = false;
     for (const gcl::ActionAst& a : ast.actions) {
@@ -495,23 +397,7 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
       }
       if (target && truthy(*target, post)) continue;  // escaped into P
       // Lexicographic strict decrease on a !P -> !P transition.
-      bool decreased = false;
-      for (const RankComponent& c : cert.components) {
-        std::int64_t v, v2;
-        if (c.kind == RankComponent::Kind::Table) {
-          v = static_cast<std::int64_t>(c.table[pack.encode(sv)]);
-          v2 = static_cast<std::int64_t>(c.table[pack.encode(post)]);
-        } else {
-          v = gcl::eval(c.expr, sv);
-          v2 = gcl::eval(c.expr, post);
-        }
-        if (v2 < v) {
-          decreased = true;
-          break;
-        }
-        if (v2 > v) break;  // increase before any decrease: not lex
-      }
-      if (!decreased) {
+      if (lex_compare(cert.components, sv, post, &pack) != -1) {
         ok = false;
         reason = "transition by " + a.name + " does not decrease the ranking";
         return false;
@@ -538,7 +424,7 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
 /// enumeration that is out of budget, so they are rejected here.
 bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
                      const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   const DecideOptions dopts{cert.budget};
 
   for (const RankComponent& c : cert.components)
@@ -548,41 +434,19 @@ bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
   const Expr not_p = target ? make_unary(Op::Not, *target) : make_const(1);
   for (std::size_t i = 0; i < ast.actions.size(); ++i) {
     const gcl::ActionAst& a = ast.actions[i];
-    const Expr guard = a.guard;
-    const Expr changed = changed_expr(a, cards);
-    const Expr not_p_post = target ? post_expr(not_p, a, cards) : make_const(1);
-
+    ActionState st{a.guard, changed_expr(a, cards), not_p,
+                   target ? post_expr(not_p, a, cards) : make_const(1)};
+    const SymbolicObligation ob = action_context(i, st);
     if (cert.ranked_at[i] == kUnranked) {
-      const std::vector<const Expr*> ctx = {&guard, &changed, &not_p, &not_p_post};
-      const std::vector<bool> drop = {false, false, true, true};
-      if (!decide_unsat(ast, ctx, drop, dopts).proved)
+      if (!decide_unsat(ast, ob.context, ob.droppable, dopts).proved)
         return reject(why, "vacuity of " + a.name + " cannot be re-established");
       continue;
     }
-    const std::size_t rank_site = cert.ranked_at[i];
-    if (rank_site >= cert.components.size())
+    if (cert.ranked_at[i] >= cert.components.size())
       return reject(why, "rank site of " + a.name + " is out of range");
-
-    std::vector<Expr> deltas, ties;
-    for (std::size_t j = 0; j <= rank_site; ++j)
-      deltas.push_back(delta_expr(cert.components[j].expr, a, cards));
-    for (std::size_t j = 0; j <= rank_site; ++j) {
-      std::vector<const Expr*> ctx = {&guard, &changed, &not_p, &not_p_post};
-      std::vector<bool> drop = {false, false, true, true};
-      for (const Expr& t : ties) {
-        ctx.push_back(&t);
-        drop.push_back(true);
-      }
-      const bool strict = j == rank_site;
-      const Expr prop =
-          make_binary(strict ? Op::Lt : Op::Le, deltas[j], make_const(0));
-      if (!decide_always(ast, prop, ctx, drop, dopts).proved)
-        return reject(why, (strict ? std::string("strict decrease of ")
-                                   : std::string("non-increase of ")) +
-                               a.name + " at component " + std::to_string(j) +
-                               " cannot be re-established");
-      ties.push_back(make_binary(Op::Eq, deltas[j], make_const(0)));
-    }
+    if (!recheck_rank_site(ast, i, cert.components, cert.ranked_at[i] + 1, true,
+                           ob.context, ob.droppable, "", dopts, why))
+      return false;
   }
 
   if (target) {
@@ -607,10 +471,8 @@ bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
       int absint_ok = -1;
       std::vector<Obligation> scratch;
       for (std::size_t i = 0; i < ast.actions.size(); ++i) {
-        ActionState st;
-        st.guard = ast.actions[i].guard;
-        st.changed = changed_expr(ast.actions[i], cards);
-        if (!discharge_closure_action(ast, *target, p_conjuncts, i, st, dopts,
+        if (!discharge_closure_action(ast, *target, p_conjuncts, i, ast.actions[i].guard,
+                                      changed_expr(ast.actions[i], cards), dopts,
                                       &absint_ok, scratch))
           return reject(why, "closure under " + ast.actions[i].name +
                                  " cannot be re-established");
@@ -646,9 +508,8 @@ bool validate_certificate(const gcl::SystemAst& ast, const gcl::Expr* target,
     if (r != kUnranked && r >= cert.components.size())
       return reject(why, "rank site out of range");
 
-  const std::vector<int> cards = prover_cards(ast);
-  const std::size_t total =
-      valuation_count(all_vars(ast.vars.size()), cards, cert.budget);
+  const std::size_t total = gcl::valuation_count(gcl::all_vars(ast.vars.size()),
+                                                 gcl::cardinalities(ast), cert.budget);
   if (total <= cert.budget) return validate_mode_a(ast, target, cert, why);
   return validate_mode_b(ast, target, cert, why);
 }

@@ -18,7 +18,8 @@
 //   C stabilizes to P if additionally
 //     (closure)   P is closed under every action.
 //
-// Synthesis is greedy: candidates from an interference-ordered template
+// Synthesis is greedy (templates.hpp's synthesize_ranking, shared with
+// the refinement prover): candidates from an interference-ordered template
 // pool (per-action guard indicators by dependency layer, the enabled
 // count, linear sums, per-variable terms, mod-k differences) are
 // accepted when Delta <= 0 holds for every still-unranked action and
@@ -38,6 +39,7 @@
 // the budget, and by re-discharging every template obligation from
 // validator-recomputed contexts when it does not (table components then
 // reject: they would need the very enumeration that is out of budget).
+// Both modes use rank.hpp's re-checker, never the synthesizer.
 
 #include <cstdint>
 #include <optional>
@@ -56,17 +58,6 @@ enum class Goal {
 };
 
 inline constexpr std::size_t kUnranked = static_cast<std::size_t>(-1);
-
-/// One component of the lexicographic ranking.
-struct RankComponent {
-  enum class Kind { Template, Table };
-  Kind kind = Kind::Template;
-  std::string pretty;  // display form (re-derivable for Template)
-  gcl::Expr expr;      // Template: integer-valued rho over the state
-  /// Table: rank per state, indexed by the mixed-radix packing
-  /// id = sum_i s[i] * stride_i with stride_0 = 1 (Space's encoding).
-  std::vector<std::uint32_t> table;
-};
 
 /// One discharged proof obligation (the certificate's audit trail).
 struct Obligation {

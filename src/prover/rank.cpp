@@ -1,7 +1,6 @@
 #include "prover/rank.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "absint/transfer.hpp"
 #include "gcl/compile.hpp"
@@ -54,30 +53,6 @@ bool expr_equal(const gcl::Expr& a, const gcl::Expr& b) {
   for (std::size_t i = 0; i < a.children.size(); ++i)
     if (!expr_equal(a.children[i], b.children[i])) return false;
   return true;
-}
-
-namespace {
-
-void mark_vars(const Expr& e, std::vector<char>& used) {
-  if (e.op == Op::Var && e.var_index < used.size()) used[e.var_index] = 1;
-  for (const Expr& c : e.children) mark_vars(c, used);
-}
-
-std::vector<std::size_t> used_to_list(const std::vector<char>& used) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < used.size(); ++i)
-    if (used[i]) out.push_back(i);
-  return out;
-}
-
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
-
-}  // namespace
-
-std::vector<std::size_t> footprint(const gcl::Expr& e, std::size_t num_vars) {
-  std::vector<char> used(num_vars, 0);
-  mark_vars(e, used);
-  return used_to_list(used);
 }
 
 std::vector<const gcl::Expr*> conjuncts_of(const gcl::Expr& e) {
@@ -161,7 +136,7 @@ gcl::Expr delta_expr(const gcl::Expr& e, const gcl::ActionAst& action,
   const std::size_t n = cards.size();
   // Fast path: the action writes no variable of e — Delta is 0.
   std::vector<char> used(n, 0);
-  mark_vars(e, used);
+  gcl::mark_footprint(e, used);
   bool touches = false;
   for (const gcl::AssignmentAst& asg : action.assignments)
     touches |= asg.var_index < n && used[asg.var_index];
@@ -241,40 +216,7 @@ const char* discharge_name(Discharge d) {
   return "?";
 }
 
-std::vector<int> prover_cards(const gcl::SystemAst& ast) {
-  std::vector<int> cards;
-  cards.reserve(ast.vars.size());
-  for (const gcl::VarDeclAst& v : ast.vars) cards.push_back(v.cardinality);
-  return cards;
-}
-
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap) {
-  std::size_t count = 1;
-  for (std::size_t v : vars) {
-    const auto card = static_cast<std::size_t>(cards[v]);
-    if (card == 0) return 0;
-    if (count > cap / card) return std::numeric_limits<std::size_t>::max();
-    count *= card;
-  }
-  return count;
-}
-
-bool for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& state,
-                        const std::function<bool(const StateVec&)>& f) {
-  state.assign(cards.size(), 0);
-  while (true) {
-    if (!f(state)) return false;
-    std::size_t i = 0;
-    for (; i < vars.size(); ++i) {
-      const std::size_t v = vars[i];
-      if (++state[v] < cards[v]) break;
-      state[v] = 0;
-    }
-    if (i == vars.size()) return true;
-  }
-}
+bool truthy(const gcl::Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
 
 void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
                         const StateVec& s, StateVec& out) {
@@ -308,9 +250,9 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   const std::size_t n = ast.vars.size();
   Selection sel;
   std::vector<char> used(n, 0);
-  if (prop) mark_vars(*prop, used);
+  if (prop) gcl::mark_footprint(*prop, used);
   for (std::size_t i = 0; i < context.size(); ++i)
-    if (i >= droppable.size() || !droppable[i]) mark_vars(*context[i], used);
+    if (i >= droppable.size() || !droppable[i]) gcl::mark_footprint(*context[i], used);
 
   std::vector<const Expr*> pending;  // droppable, in order
   for (std::size_t i = 0; i < context.size(); ++i) {
@@ -323,7 +265,7 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   std::vector<const Expr*> deferred;
   for (const Expr* e : pending) {
     std::vector<char> with = used;
-    mark_vars(*e, with);
+    gcl::mark_footprint(*e, with);
     if (with == used)
       sel.kept.push_back(e);
     else
@@ -331,16 +273,16 @@ Selection select_context(const gcl::SystemAst& ast, const Expr* prop,
   }
   for (const Expr* e : deferred) {
     std::vector<char> with = used;
-    mark_vars(*e, with);
-    if (valuation_count(used_to_list(with), cards, grow_budget) <= grow_budget) {
+    gcl::mark_footprint(*e, with);
+    if (gcl::valuation_count(gcl::marked_vars(with), cards, grow_budget) <= grow_budget) {
       used = std::move(with);
       sel.kept.push_back(e);
     } else {
       ++sel.dropped;
     }
   }
-  sel.vars = used_to_list(used);
-  sel.count = valuation_count(sel.vars, cards, budget);
+  sel.vars = gcl::marked_vars(used);
+  sel.count = gcl::valuation_count(sel.vars, cards, budget);
   sel.exact = sel.dropped == 0;
   return sel;
 }
@@ -371,7 +313,7 @@ DecideOutcome enumerate_always(const gcl::Expr& prop, const Selection& sel,
   StateVec state;
   bool counterexample = false;
   std::size_t witnesses = 0;
-  for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
+  gcl::for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
     for (const Expr* c : sel.kept)
       if (!truthy(*c, s)) return true;
     ++witnesses;
@@ -394,7 +336,7 @@ DecideOutcome decide_always(const gcl::SystemAst& ast, const gcl::Expr& prop,
                             const std::vector<const gcl::Expr*>& context,
                             const std::vector<bool>& droppable,
                             const DecideOptions& opts) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // Minimal context first: mandatory footprint plus the free droppable
   // conjuncts only. Most obligations (a layer-local Delta against its
   // own guard) prove here at a cost independent of |Sigma|.
@@ -428,7 +370,7 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
                            const std::vector<const gcl::Expr*>& context,
                            const std::vector<bool>& droppable,
                            const DecideOptions& opts) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // For unsatisfiability MORE context can only help (each kept conjunct
   // constrains further), so grow greedily right away.
   Selection sel =
@@ -436,7 +378,7 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
   if (sel.count <= opts.budget) {
     StateVec state;
     bool satisfiable = false;
-    for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
+    gcl::for_each_valuation(sel.vars, cards, state, [&](const StateVec& s) {
       for (const Expr* c : sel.kept)
         if (!truthy(*c, s)) return true;
       satisfiable = true;
@@ -450,6 +392,88 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
   DecideOutcome out = absint_leg(nullptr, context, cards, sel.dropped);
   return out.proved ? out : DecideOutcome{false, Discharge::Enumeration, sel.count,
                                           sel.dropped};
+}
+
+DecideOutcome decide_all(const gcl::SystemAst& ast, const std::vector<gcl::Expr>& props,
+                         const std::vector<const gcl::Expr*>& context,
+                         const std::vector<bool>& droppable, const DecideOptions& opts) {
+  DecideOutcome all{true, Discharge::Vacuous, 0, 0};
+  for (const Expr& prop : props) {
+    const DecideOutcome r = decide_always(ast, prop, context, droppable, opts);
+    if (!r.proved) return r;
+    all.valuations += r.valuations;
+    if (r.method != Discharge::Vacuous) all.method = r.method;
+  }
+  return all;
+}
+
+// --- the rank re-checker ----------------------------------------------
+
+int lex_compare(const std::vector<RankComponent>& comps, const StateVec& s,
+                const StateVec& t, const Packing* pack) {
+  for (const RankComponent& c : comps) {
+    const bool table = c.kind == RankComponent::Kind::Table;
+    const std::int64_t v = table ? c.table[pack->encode(s)] : gcl::eval(c.expr, s);
+    const std::int64_t v2 = table ? c.table[pack->encode(t)] : gcl::eval(c.expr, t);
+    if (v2 < v) return -1;
+    if (v2 > v) return +1;
+  }
+  return 0;
+}
+
+bool reject(std::string* why, std::string msg) {
+  if (why) *why = std::move(msg);
+  return false;
+}
+
+bool recheck_rank_site(const gcl::SystemAst& ast, std::size_t action,
+                       const std::vector<RankComponent>& comps, std::size_t count,
+                       bool strict, const std::vector<const gcl::Expr*>& context,
+                       const std::vector<bool>& droppable, const std::string& ranking,
+                       const DecideOptions& opts, std::string* why) {
+  const gcl::ActionAst& a = ast.actions[action];
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  std::vector<Expr> ties;
+  for (std::size_t j = 0; j < count; ++j) {
+    Expr delta = delta_expr(comps[j].expr, a, cards);
+    std::vector<const Expr*> ctx = context;
+    std::vector<bool> drop = droppable;
+    for (const Expr& t : ties) {
+      ctx.push_back(&t);
+      drop.push_back(true);
+    }
+    const bool strict_here = strict && j + 1 == count;
+    const Expr prop = make_binary(strict_here ? Op::Lt : Op::Le, delta, make_const(0));
+    if (!decide_always(ast, prop, ctx, drop, opts).proved)
+      return reject(why, (strict_here ? "strict " + ranking + "decrease of "
+                                      : ranking + "non-increase of ") +
+                             a.name + " at component " + std::to_string(j) +
+                             " cannot be re-established");
+    ties.push_back(make_binary(Op::Eq, std::move(delta), make_const(0)));
+  }
+  return true;
+}
+
+bool recheck_point_rows(const gcl::SystemAst& ast, std::size_t action,
+                        const std::vector<RankComponent>& comps,
+                        std::span<const StateVec> rows, const std::vector<std::size_t>& fp,
+                        const std::string& ranking, const std::string& no_decrease,
+                        std::string* why) {
+  const gcl::ActionAst& a = ast.actions[action];
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  for (const RankComponent& c : comps) {
+    const std::vector<std::size_t> reads =
+        gcl::footprint(delta_expr(c.expr, a, cards), cards.size());
+    if (!std::includes(fp.begin(), fp.end(), reads.begin(), reads.end()))
+      return reject(why, "a " + ranking + "-ranking delta reads outside the footprint of " +
+                             a.name);
+  }
+  StateVec post;
+  for (const StateVec& row : rows) {
+    apply_action_state(a, cards, row, post);
+    if (lex_compare(comps, row, post) != -1) return reject(why, no_decrease);
+  }
+  return true;
 }
 
 }  // namespace cref::prover

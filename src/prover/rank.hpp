@@ -18,10 +18,17 @@
 // an expression over only the variables the action actually interferes
 // with — which is what keeps obligation footprints layer-local and the
 // prover's cost independent of |Sigma| on DAG-layered programs.
+//
+// Also the one rank re-checker both validators share: the ranking
+// component type of both certificate kinds, one lexicographic
+// comparison across an edge, the mode-B re-derivation of an action's
+// rank site and the mode-B point check of enumerated rows. The provers
+// synthesize rankings with templates.hpp; the validators only re-check
+// them here, never re-running synthesis.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,9 +50,6 @@ gcl::Expr make_sum(std::vector<gcl::Expr> terms);
 /// Deep structural equality (op, value, var_index, children; source
 /// locations and display names ignored).
 bool expr_equal(const gcl::Expr& a, const gcl::Expr& b);
-
-/// Sorted distinct indices of the variables `e` references.
-std::vector<std::size_t> footprint(const gcl::Expr& e, std::size_t num_vars);
 
 /// Splits a top-level `&&` chain into its conjuncts (a non-And
 /// expression is its own single conjunct).
@@ -118,28 +122,102 @@ DecideOutcome decide_unsat(const gcl::SystemAst& ast,
                            const std::vector<bool>& droppable,
                            const DecideOptions& opts = {});
 
-// --- enumeration helpers (shared with prove.cpp and the validator) ---
+/// decide_always for every proposition of `props` in order, under one
+/// context, stopping at the first that fails. Proved iff all are; then
+/// `valuations` is their sum and `method` the last non-Vacuous method
+/// (Vacuous when every one, or none, was).
+DecideOutcome decide_all(const gcl::SystemAst& ast, const std::vector<gcl::Expr>& props,
+                         const std::vector<const gcl::Expr*>& context,
+                         const std::vector<bool>& droppable,
+                         const DecideOptions& opts = {});
 
-/// Product of the listed variables' cardinalities; SIZE_MAX once the
-/// product exceeds `cap`.
-std::size_t valuation_count(const std::vector<std::size_t>& vars,
-                            const std::vector<int>& cards, std::size_t cap);
+// --- point evaluation -------------------------------------------------
 
-/// Declared cardinalities of ast.vars (declaration order).
-std::vector<int> prover_cards(const gcl::SystemAst& ast);
-
-/// Calls `f(state)` for every valuation of `vars` (odometer order),
-/// with all other variables pinned to 0 — sound for expressions whose
-/// footprint is within `vars`. Stops early when `f` returns false;
-/// returns false iff stopped early.
-bool for_each_valuation(const std::vector<std::size_t>& vars,
-                        const std::vector<int>& cards, StateVec& state,
-                        const std::function<bool(const StateVec&)>& f);
+/// GCL truthiness: eval(e, s) != 0.
+bool truthy(const gcl::Expr& e, const StateVec& s);
 
 /// Executes `action` on `s` (guard NOT checked): all right-hand sides
 /// evaluated against `s`, then written reduced modulo the cardinality,
 /// in declaration order (last write wins) — gcl::compile's semantics.
 void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
                         const StateVec& s, StateVec& out);
+
+/// Mixed-radix packing matching core::Space (variable 0 least
+/// significant) — the index space of table components and of both
+/// validators' complete-replay modes.
+struct Packing {
+  std::vector<std::size_t> strides;
+  std::size_t total = 1;
+
+  explicit Packing(const std::vector<int>& cards) {
+    strides.resize(cards.size());
+    for (std::size_t i = 0; i < cards.size(); ++i) {
+      strides[i] = total;
+      total *= static_cast<std::size_t>(cards[i]);
+    }
+  }
+  std::size_t encode(const StateVec& s) const {
+    std::size_t id = 0;
+    for (std::size_t i = 0; i < strides.size(); ++i)
+      id += static_cast<std::size_t>(s[i]) * strides[i];
+    return id;
+  }
+  void decode(std::size_t id, const std::vector<int>& cards, StateVec& out) const {
+    out.resize(strides.size());
+    for (std::size_t i = 0; i < strides.size(); ++i)
+      out[i] = static_cast<Value>(id / strides[i] % static_cast<std::size_t>(cards[i]));
+  }
+};
+
+// --- the rank re-checker (validators) ----------------------------------
+
+/// One component of a lexicographic ranking — of a convergence
+/// certificate, or of a refinement certificate's stutter or visible
+/// tuple (those are Template only).
+struct RankComponent {
+  enum class Kind { Template, Table };
+  Kind kind = Kind::Template;
+  std::string pretty;  // display form (re-derivable for Template)
+  gcl::Expr expr;      // Template: integer-valued rho over the state
+  /// Table: rank per state, indexed by the mixed-radix packing
+  /// id = sum_i s[i] * stride_i with stride_0 = 1 (Space's encoding).
+  std::vector<std::uint32_t> table;
+};
+
+/// Lexicographic comparison of the tuple across the edge s -> t: -1 at
+/// a strict decrease, +1 at an increase before any decrease, 0 when
+/// every component ties. Table components are read through `pack`.
+int lex_compare(const std::vector<RankComponent>& comps, const StateVec& s,
+                const StateVec& t, const Packing* pack = nullptr);
+
+/// Sets `*why` (when non-null) and returns false — the validators'
+/// rejection idiom.
+bool reject(std::string* why, std::string msg);
+
+/// Mode-B re-derivation of one action's rank site: for the first
+/// `count` components, Delta <= 0 — at the last one Delta < 0 when
+/// `strict` — is re-decided under `context`, each earlier component's
+/// tie Delta == 0 joining it as a droppable conjunct. On failure rejects
+/// with "[strict ]<ranking>decrease of A at component J cannot be
+/// re-established" or "<ranking>non-increase of ...", `ranking` being
+/// "" or a word and a space ("stutter ").
+bool recheck_rank_site(const gcl::SystemAst& ast, std::size_t action,
+                       const std::vector<RankComponent>& comps, std::size_t count,
+                       bool strict, const std::vector<const gcl::Expr*>& context,
+                       const std::vector<bool>& droppable, const std::string& ranking,
+                       const DecideOptions& opts, std::string* why);
+
+/// Mode-B point check of enumerated rows of `action`: each row (a
+/// valuation of `fp`, every other variable 0) must strictly decrease
+/// the tuple across the action's step. Sound only when every
+/// component's Delta reads within `fp`, which is checked first
+/// (rejecting with "a <ranking>-ranking delta reads outside the
+/// footprint of A"); a row without a strict decrease rejects with
+/// `no_decrease`.
+bool recheck_point_rows(const gcl::SystemAst& ast, std::size_t action,
+                        const std::vector<RankComponent>& comps,
+                        std::span<const StateVec> rows, const std::vector<std::size_t>& fp,
+                        const std::string& ranking, const std::string& no_decrease,
+                        std::string* why);
 
 }  // namespace cref::prover

@@ -19,25 +19,8 @@ using gcl::Op;
 
 namespace {
 
-bool truthy(const Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
-
-/// a (sorted) subset-of b (sorted)?
-bool subset_of(const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-std::string row_str(const gcl::SystemAst& ast, const StateVec& s,
-                    const std::vector<std::size_t>& fp) {
-  std::string out = "(";
-  for (std::size_t k = 0; k < fp.size(); ++k) {
-    if (k) out += ", ";
-    out += ast.vars[fp[k]].name + "=" + std::to_string(s[fp[k]]);
-  }
-  return out + ")";
-}
-
-/// Obligation context builder: expressions must outlive the decide call,
-/// so droppable conjuncts live in `owned` (reserve before taking ptrs).
+/// One obligation context: the expressions it points at must
+/// outlive every decide call made with it.
 struct ObCtx {
   std::vector<const Expr*> ptrs;
   std::vector<bool> drop;
@@ -56,21 +39,15 @@ struct ObCtx {
 std::vector<std::size_t> obligation_footprint(const AlphaCtx& ctx, std::size_t ai) {
   const std::size_t n = ctx.c.vars.size();
   std::vector<char> in(n, 0);
-  auto add = [&](const Expr& e) {
-    for (std::size_t v : footprint(e, n)) in[v] = 1;
-  };
   const gcl::ActionAst& act = ctx.c.actions[ai];
-  add(act.guard);
+  gcl::mark_footprint(act.guard, in);
   for (const gcl::AssignmentAst& asg : act.assignments) {
-    add(asg.value);
+    gcl::mark_footprint(asg.value, in);
     if (asg.var_index < n) in[asg.var_index] = 1;
   }
-  for (const Expr& e : ctx.img) add(e);
-  if (ctx.alpha.invariant) add(*ctx.alpha.invariant);
-  std::vector<std::size_t> out;
-  for (std::size_t v = 0; v < n; ++v)
-    if (in[v]) out.push_back(v);
-  return out;
+  for (const Expr& e : ctx.img) gcl::mark_footprint(e, in);
+  if (ctx.alpha.invariant) gcl::mark_footprint(*ctx.alpha.invariant, in);
+  return gcl::marked_vars(in);
 }
 
 /// Row-level classification of one action over its obligation footprint
@@ -93,14 +70,14 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
   EnumRows out;
   out.fp = obligation_footprint(ctx, ai);
   const gcl::ActionAst& act = ctx.c.actions[ai];
-  const std::size_t total = valuation_count(out.fp, ctx.c_cards, budget);
+  const std::size_t total = gcl::valuation_count(out.fp, ctx.c_cards, budget);
   if (total > budget) {
     out.fail = "enumerating " + act.name + " needs more than " +
                std::to_string(budget) + " valuations";
     return out;
   }
   StateVec s, post, img_s, img_t;
-  for_each_valuation(out.fp, ctx.c_cards, s, [&](const StateVec& sv) {
+  gcl::for_each_valuation(out.fp, ctx.c_cards, s, [&](const StateVec& sv) {
     if (!truthy(act.guard, sv)) return true;
     apply_action_state(act, ctx.c_cards, sv, post);
     if (post == sv) return true;
@@ -127,42 +104,15 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
       // Complete refutation: the edge's image pair is not connected in
       // A at all, so classify_edge reports Invalid on a real state.
       out.refuted = true;
-      out.refute_msg = "action " + act.name + " at " + row_str(ctx.c, sv, out.fp) +
-                       " has no abstract path for its image change (Invalid edge)";
+      out.refute_msg = "action " + act.name + " at (" +
+                       gcl::format_valuation(ctx.c, sv, out.fp) +
+                       ") has no abstract path for its image change (Invalid edge)";
     } else {
       out.fail = "abstract BFS cap hit while classifying " + act.name;
     }
     return false;
   });
   return out;
-}
-
-/// Lexicographic comparison of a template tuple across one edge:
-/// -1 strict decrease, 0 tie everywhere, +1 increase before a decrease.
-int lex_edge(const std::vector<RankTerm>& comps, const StateVec& s,
-             const StateVec& t) {
-  for (const RankTerm& c : comps) {
-    const auto v = gcl::eval(c.expr, s);
-    const auto v2 = gcl::eval(c.expr, t);
-    if (v2 < v) return -1;
-    if (v2 > v) return +1;
-  }
-  return 0;
-}
-
-/// Point-wise lexicographic sign of precomputed delta expressions.
-int lex_point(const std::vector<Expr>& deltas, const StateVec& s) {
-  for (const Expr& d : deltas) {
-    const auto v = gcl::eval(d, s);
-    if (v < 0) return -1;
-    if (v > 0) return +1;
-  }
-  return 0;
-}
-
-bool reject(std::string* why, std::string msg) {
-  if (why) *why = std::move(msg);
-  return false;
 }
 
 }  // namespace
@@ -254,65 +204,38 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
     ai.stutter_conjs = stutter_conjuncts(ctx, i);
 
     // (1) Vacuous: the action never takes a state-changing transition.
-    {
-      const std::vector<const Expr*> cx = {&ai.guard, &ai.changed};
-      const DecideOutcome r = decide_unsat(c_ast, cx, {false, false}, dopts);
-      if (r.proved) {
-        ai.cls = ActionClass::Vacuous;
-        cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0,
-                                    r.method, r.valuations, "never fires"});
-        cert.action_class[i] = ai.cls;
-        continue;
-      }
+    const std::vector<const Expr*> fires_ctx = {&ai.guard, &ai.changed};
+    if (const DecideOutcome r = decide_unsat(c_ast, fires_ctx, {false, false}, dopts);
+        r.proved) {
+      ai.cls = ActionClass::Vacuous;
+      cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0, r.method,
+                                  r.valuations, "never fires"});
+      cert.action_class[i] = ai.cls;
+      continue;
     }
 
     // (2) Pure stutter: alpha(s') == alpha(s) on every transition.
-    {
-      bool all = true;
-      std::size_t vals = 0;
-      Discharge worst = Discharge::Vacuous;
-      for (const Expr& cj : ai.stutter_conjs) {
-        const std::vector<const Expr*> cx = {&ai.guard, &ai.changed};
-        const DecideOutcome r = decide_always(c_ast, cj, cx, {false, false}, dopts);
-        if (!r.proved) {
-          all = false;
-          break;
-        }
-        vals += r.valuations;
-        if (r.method != Discharge::Vacuous) worst = r.method;
-      }
-      if (all) {
-        ai.cls = ActionClass::Stutter;
-        cert.obligations.push_back(
-            {RefineObligation::Kind::Classify, act.name, 0, worst, vals,
-             "stutter (" + std::to_string(ai.stutter_conjs.size()) + " conjunct(s))"});
-        cert.action_class[i] = ai.cls;
-        continue;
-      }
+    if (const DecideOutcome r =
+            decide_all(c_ast, ai.stutter_conjs, fires_ctx, {false, false}, dopts);
+        r.proved) {
+      ai.cls = ActionClass::Stutter;
+      cert.obligations.push_back(
+          {RefineObligation::Kind::Classify, act.name, 0, r.method, r.valuations,
+           "stutter (" + std::to_string(ai.stutter_conjs.size()) + " conjunct(s))"});
+      cert.action_class[i] = ai.cls;
+      continue;
     }
 
     // (3) Exact: every transition maps to the A-edge of one abstract b.
     bool classified = false;
     for (std::size_t bi = 0; bi < a_ast.actions.size() && !classified; ++bi) {
-      const std::vector<Expr> mc = match_conjuncts(ctx, i, bi);
-      bool all = true;
-      std::size_t vals = 0;
-      Discharge worst = Discharge::Vacuous;
-      for (const Expr& cj : mc) {
-        const std::vector<const Expr*> cx = {&ai.guard, &ai.changed};
-        const DecideOutcome r = decide_always(c_ast, cj, cx, {false, false}, dopts);
-        if (!r.proved) {
-          all = false;
-          break;
-        }
-        vals += r.valuations;
-        if (r.method != Discharge::Vacuous) worst = r.method;
-      }
-      if (all) {
+      const DecideOutcome r =
+          decide_all(c_ast, match_conjuncts(ctx, i, bi), fires_ctx, {false, false}, dopts);
+      if (r.proved) {
         ai.cls = ActionClass::Exact;
         ai.matched = static_cast<std::ptrdiff_t>(bi);
         cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0,
-                                    worst, vals,
+                                    r.method, r.valuations,
                                     "maps to " + a_ast.actions[bi].name});
         classified = true;
       }
@@ -327,8 +250,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
     for (std::size_t bi = 0; bi < a_ast.actions.size() && !classified; ++bi) {
       const Expr prop = make_binary(Op::Or, conj(ai.stutter_conjs),
                                     conj(match_conjuncts(ctx, i, bi)));
-      const std::vector<const Expr*> cx = {&ai.guard, &ai.changed};
-      const DecideOutcome r = decide_always(c_ast, prop, cx, {false, false}, dopts);
+      const DecideOutcome r = decide_always(c_ast, prop, fires_ctx, {false, false}, dopts);
       if (r.proved) {
         ai.cls = ActionClass::Mixed;
         ai.matched = static_cast<std::ptrdiff_t>(bi);
@@ -380,224 +302,84 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
   // Strict lexicographic decrease on every stutter step whose image is
   // not an A-deadlock: symbolically for Stutter/Mixed actions,
   // point-wise for enumerated stutter rows.
-  std::vector<std::size_t> sym;  // symbolic actions still unranked
+  std::vector<SymbolicObligation> sym;  // symbolic actions to rank
   for (std::size_t i = 0; i < nc; ++i) {
     if (info[i].cls != ActionClass::Stutter && info[i].cls != ActionClass::Mixed)
       continue;
-    // Exemption pre-pass: no stutter transition with a live image at
-    // all (an unsatisfiable subset of the context witnesses this).
     ObCtx cx;
     cx.add(info[i].guard, false);
     cx.add(info[i].changed, false);
     for (const Expr& cj : info[i].stutter_conjs) cx.add(cj, true);
     cx.add(not_dl, true);
+    // Exemption pre-pass: no stutter transition with a live image at
+    // all (an unsatisfiable subset of the context witnesses this).
     const DecideOutcome r = decide_unsat(c_ast, cx.ptrs, cx.drop, dopts);
     if (r.proved) {
       cert.obligations.push_back({RefineObligation::Kind::StutterDecrease,
                                   c_ast.actions[i].name, 0, Discharge::Vacuous,
                                   r.valuations, "all stutter images are A-deadlocks"});
     } else {
-      sym.push_back(i);
+      sym.push_back({i, std::move(cx.ptrs), std::move(cx.drop), true});
     }
   }
-  struct RowRef {
-    std::size_t action;
-    std::size_t row;
-  };
-  std::vector<RowRef> srows;
+  std::vector<PointRow> srows;
   for (std::size_t i = 0; i < nc; ++i)
-    for (std::size_t r = 0; r < info[i].rows.stutter_rows.size(); ++r)
-      srows.push_back({i, r});
-  const std::size_t total_srows = srows.size();
+    for (const StateVec& row : info[i].rows.stutter_rows)
+      srows.push_back({i, &row, &info[i].rows.fp});
 
-  std::vector<std::vector<Expr>> sties(nc);  // accepted-component ties
-  for (const Candidate& cand : pool) {
-    if ((sym.empty() && srows.empty()) ||
-        cert.stutter_components.size() >= opts.max_components)
-      break;
-    struct Eval {
-      std::size_t action;
-      Expr delta;
-      bool strict;
-      DecideOutcome outcome;
-    };
-    std::vector<Eval> evals;
-    std::vector<char> row_strict(srows.size(), 0);
-    bool rejected = false;
-    bool any_strict = false;
-    for (std::size_t i : sym) {
-      Expr delta = delta_expr(cand.expr, c_ast.actions[i], ctx.c_cards);
-      ObCtx cx;
-      cx.add(info[i].guard, false);
-      cx.add(info[i].changed, false);
-      for (const Expr& cj : info[i].stutter_conjs) cx.add(cj, true);
-      cx.add(not_dl, true);
-      for (const Expr& t : sties[i]) cx.add(t, true);
-      const Expr strict_prop = make_binary(Op::Lt, delta, make_const(0));
-      DecideOutcome r = decide_always(c_ast, strict_prop, cx.ptrs, cx.drop, dopts);
-      bool strict = r.proved;
-      if (!strict) {
-        const Expr noninc = make_binary(Op::Le, delta, make_const(0));
-        r = decide_always(c_ast, noninc, cx.ptrs, cx.drop, dopts);
-        if (!r.proved) {
-          rejected = true;
-          break;
-        }
-      }
-      any_strict |= strict;
-      evals.push_back({i, std::move(delta), strict, r});
-    }
-    if (!rejected) {
-      for (std::size_t k = 0; k < srows.size() && !rejected; ++k) {
-        const RowRef& rr = srows[k];
-        const Expr delta = delta_expr(cand.expr, c_ast.actions[rr.action], ctx.c_cards);
-        // Point evaluation is only sound when the delta reads nothing
-        // outside the row's enumeration footprint.
-        if (!subset_of(footprint(delta, c_ast.vars.size()), info[rr.action].rows.fp)) {
-          rejected = true;
-          break;
-        }
-        const auto d = gcl::eval(delta, info[rr.action].rows.stutter_rows[rr.row]);
-        if (d > 0) rejected = true;
-        if (d < 0) {
-          row_strict[k] = 1;
-          any_strict = true;
-        }
-      }
-    }
-    if (rejected) continue;
-    if (!any_strict) {
-      // A component that provably never moves adds no information.
-      bool useful = false;
-      for (const Eval& e : evals) {
-        ObCtx cx;
-        cx.add(info[e.action].guard, false);
-        cx.add(info[e.action].changed, false);
-        for (const Expr& cj : info[e.action].stutter_conjs) cx.add(cj, true);
-        cx.add(not_dl, true);
-        for (const Expr& t : sties[e.action]) cx.add(t, true);
-        const Expr still = make_binary(Op::Eq, e.delta, make_const(0));
-        if (!decide_always(c_ast, still, cx.ptrs, cx.drop, dopts).proved) {
-          useful = true;
-          break;
-        }
-      }
-      if (!useful) continue;
-    }
-
-    const std::size_t comp = cert.stutter_components.size();
-    cert.stutter_components.push_back({cand.pretty, cand.expr});
-    std::vector<std::size_t> still_sym;
-    for (Eval& e : evals) {
-      const gcl::ActionAst& a = c_ast.actions[e.action];
-      if (e.strict) {
-        cert.stutter_ranked_at[e.action] = comp;
-        cert.obligations.push_back({RefineObligation::Kind::StutterDecrease, a.name,
-                                    comp, e.outcome.method, e.outcome.valuations,
-                                    a.name + " vs " + cand.pretty});
-      } else {
-        cert.obligations.push_back({RefineObligation::Kind::StutterNonIncrease, a.name,
-                                    comp, e.outcome.method, e.outcome.valuations,
-                                    a.name + " vs " + cand.pretty});
-        sties[e.action].push_back(
-            make_binary(Op::Eq, std::move(e.delta), make_const(0)));
-        still_sym.push_back(e.action);
-      }
-    }
-    sym = std::move(still_sym);
-    std::vector<RowRef> still_rows;
-    for (std::size_t k = 0; k < srows.size(); ++k)
-      if (!row_strict[k]) still_rows.push_back(srows[k]);
-    srows = std::move(still_rows);
+  LexSynthesis stutter =
+      synthesize_ranking(c_ast, pool, sym, srows, opts.max_components, dopts);
+  for (const LexSynthesis::Step& step : stutter.steps) {
+    const std::size_t a = sym[step.obligation].action;
+    if (step.strict) cert.stutter_ranked_at[a] = step.component;
+    cert.obligations.push_back(
+        {step.strict ? RefineObligation::Kind::StutterDecrease
+                     : RefineObligation::Kind::StutterNonIncrease,
+         c_ast.actions[a].name, step.component, step.outcome.method,
+         step.outcome.valuations,
+         c_ast.actions[a].name + " vs " + stutter.components[step.component].pretty});
   }
-  if (!sym.empty()) {
+  cert.stutter_components = std::move(stutter.components);
+  if (!stutter.unranked.empty()) {
     std::string names;
-    for (std::size_t i : sym)
-      names += (names.empty() ? "" : ", ") + c_ast.actions[i].name;
+    for (std::size_t o : stutter.unranked)
+      names += (names.empty() ? "" : ", ") + c_ast.actions[sym[o].action].name;
     result.failures.push_back("no template ranks the stutter steps of {" + names + "}");
   }
-  if (!srows.empty())
-    result.failures.push_back(std::to_string(srows.size()) +
+  if (stutter.rows_left > 0)
+    result.failures.push_back(std::to_string(stutter.rows_left) +
                               " enumerated stutter row(s) remain unranked");
-  if (total_srows > 0 && srows.empty())
+  else if (!srows.empty())
     cert.obligations.push_back({RefineObligation::Kind::StutterDecrease, "", 0,
-                                Discharge::Enumeration, total_srows,
-                                std::to_string(total_srows) +
+                                Discharge::Enumeration, srows.size(),
+                                std::to_string(srows.size()) +
                                     " stutter row(s) point-ranked"});
 
   // --- visible ranking (compressed edges must be off every cycle) ----
+  // Non-increase on every non-vacuous action, strict decrease at every
+  // compressed row.
   if (!cert.compressed.empty()) {
-    std::vector<std::size_t> nonvac;
+    std::vector<SymbolicObligation> nonvac;
     for (std::size_t i = 0; i < nc; ++i)
-      if (info[i].cls != ActionClass::Vacuous) nonvac.push_back(i);
-    std::vector<char> vrow_done(cert.compressed.size(), 0);
-    std::size_t pending = cert.compressed.size();
-    std::vector<std::vector<Expr>> vties(nc);
-    for (const Candidate& cand : pool) {
-      if (pending == 0 || cert.visible_components.size() >= opts.max_components) break;
-      struct Eval {
-        std::size_t action;
-        Expr delta;
-        DecideOutcome outcome;
-      };
-      std::vector<Eval> evals;
-      std::vector<char> row_strict(cert.compressed.size(), 0);
-      bool rejected = false;
-      bool any_strict = false;
-      for (std::size_t i : nonvac) {
-        Expr delta = delta_expr(cand.expr, c_ast.actions[i], ctx.c_cards);
-        ObCtx cx;
-        cx.add(info[i].guard, false);
-        cx.add(info[i].changed, false);
-        for (const Expr& t : vties[i]) cx.add(t, true);
-        const Expr noninc = make_binary(Op::Le, delta, make_const(0));
-        const DecideOutcome r = decide_always(c_ast, noninc, cx.ptrs, cx.drop, dopts);
-        if (!r.proved) {
-          rejected = true;
-          break;
-        }
-        evals.push_back({i, std::move(delta), r});
-      }
-      if (!rejected) {
-        for (std::size_t k = 0; k < cert.compressed.size() && !rejected; ++k) {
-          if (vrow_done[k]) continue;
-          const CompressedRow& row = cert.compressed[k];
-          const Expr delta =
-              delta_expr(cand.expr, c_ast.actions[row.action], ctx.c_cards);
-          if (!subset_of(footprint(delta, c_ast.vars.size()),
-                         info[row.action].rows.fp)) {
-            rejected = true;
-            break;
-          }
-          const auto d = gcl::eval(delta, row.source);
-          if (d > 0) rejected = true;
-          if (d < 0) {
-            row_strict[k] = 1;
-            any_strict = true;
-          }
-        }
-      }
-      if (rejected || !any_strict) continue;
-
-      const std::size_t comp = cert.visible_components.size();
-      cert.visible_components.push_back({cand.pretty, cand.expr});
-      for (Eval& e : evals) {
-        cert.obligations.push_back({RefineObligation::Kind::VisibleNonIncrease,
-                                    c_ast.actions[e.action].name, comp,
-                                    e.outcome.method, e.outcome.valuations,
-                                    c_ast.actions[e.action].name + " vs " +
-                                        cand.pretty});
-        vties[e.action].push_back(
-            make_binary(Op::Eq, std::move(e.delta), make_const(0)));
-      }
-      for (std::size_t k = 0; k < cert.compressed.size(); ++k)
-        if (row_strict[k]) {
-          vrow_done[k] = 1;
-          --pending;
-        }
+      if (info[i].cls != ActionClass::Vacuous)
+        nonvac.push_back({i, {&info[i].guard, &info[i].changed}, {false, false}, false});
+    std::vector<PointRow> vrows;
+    vrows.reserve(cert.compressed.size());
+    for (const CompressedRow& row : cert.compressed)
+      vrows.push_back({row.action, &row.source, &info[row.action].rows.fp});
+    LexSynthesis visible =
+        synthesize_ranking(c_ast, pool, nonvac, vrows, opts.max_components, dopts);
+    for (const LexSynthesis::Step& step : visible.steps) {
+      const std::string& name = c_ast.actions[nonvac[step.obligation].action].name;
+      cert.obligations.push_back({RefineObligation::Kind::VisibleNonIncrease, name,
+                                  step.component, step.outcome.method,
+                                  step.outcome.valuations,
+                                  name + " vs " +
+                                      visible.components[step.component].pretty});
     }
-    if (pending > 0) {
-      result.failures.push_back(std::to_string(pending) +
+    cert.visible_components = std::move(visible.components);
+    if (visible.rows_left > 0) {
+      result.failures.push_back(std::to_string(visible.rows_left) +
                                 " compressed row(s) lack a visible-ranking decrease");
     } else {
       cert.obligations.push_back({RefineObligation::Kind::CompressedDecrease, "", 0,
@@ -617,7 +399,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
       const Expr& inv = *alpha.invariant;
       bool ok = true;
       for (const CompressedRow& row : cert.compressed) {
-        if (gcl::eval(inv, row.source) != 0) {
+        if (truthy(inv, row.source)) {
           result.failures.push_back(
               "the alpha invariant does not exclude a compressed row of " +
               c_ast.actions[row.action].name);
@@ -746,13 +528,13 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
   const AlphaCtx ctx(c_ast, a_ast, alpha);
   const std::size_t n = c_ast.vars.size();
   const Packing pack(ctx.c_cards);
-  const std::vector<std::size_t> all = all_vars(n);
+  const std::vector<std::size_t> all = gcl::all_vars(n);
 
   std::unordered_set<std::size_t> comp_sources;
   StateVec s, post, img_s, img_t;
   bool ok = true;
   std::string reason;
-  for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
+  gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
     bool has_move = false;
     for (const gcl::ActionAst& act : c_ast.actions) {
       if (!truthy(act.guard, sv)) continue;
@@ -763,14 +545,14 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       gcl::alpha_image(ctx.alpha, ctx.a, post, img_t);
       if (img_s == img_t) {
         if (!a_is_deadlock(ctx, img_s) &&
-            lex_edge(cert.stutter_components, sv, post) != -1) {
+            lex_compare(cert.stutter_components, sv, post) != -1) {
           ok = false;
           reason = "a live stutter step of " + act.name +
                    " does not decrease the stutter ranking";
           return false;
         }
         if (!cert.visible_components.empty() &&
-            lex_edge(cert.visible_components, sv, post) == +1) {
+            lex_compare(cert.visible_components, sv, post) == +1) {
           ok = false;
           reason = "a stutter step of " + act.name + " increases the visible ranking";
           return false;
@@ -779,7 +561,7 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       }
       if (find_direct_match(ctx, img_s, img_t) >= 0) {
         if (!cert.visible_components.empty() &&
-            lex_edge(cert.visible_components, sv, post) == +1) {
+            lex_compare(cert.visible_components, sv, post) == +1) {
           ok = false;
           reason = "an exact step of " + act.name + " increases the visible ranking";
           return false;
@@ -796,7 +578,7 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       }
       comp_sources.insert(pack.encode(sv));
       if (cert.visible_components.empty() ||
-          lex_edge(cert.visible_components, sv, post) != -1) {
+          lex_compare(cert.visible_components, sv, post) != -1) {
         ok = false;
         reason = "a compressed step of " + act.name +
                  " does not strictly decrease the visible ranking";
@@ -821,7 +603,7 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     // successor-closed, so source exclusion suffices).
     std::vector<char> seen(pack.total, 0);
     std::vector<std::size_t> queue;
-    for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
+    gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
       if (truthy(*c_ast.init, sv)) {
         const std::size_t id = pack.encode(sv);
         if (!seen[id]) {
@@ -875,31 +657,22 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     guards[i] = act.guard;
     changeds[i] = changed_expr(act, ctx.c_cards);
     sconjs[i] = stutter_conjuncts(ctx, i);
+    const std::vector<const Expr*> fires_ctx = {&guards[i], &changeds[i]};
     switch (cert.action_class[i]) {
-      case ActionClass::Vacuous: {
-        const std::vector<const Expr*> cx = {&guards[i], &changeds[i]};
-        if (!decide_unsat(c_ast, cx, {false, false}, dopts).proved)
+      case ActionClass::Vacuous:
+        if (!decide_unsat(c_ast, fires_ctx, {false, false}, dopts).proved)
           return reject(why, "vacuity of " + act.name + " cannot be re-established");
         break;
-      }
-      case ActionClass::Stutter: {
-        for (const Expr& cj : sconjs[i]) {
-          const std::vector<const Expr*> cx = {&guards[i], &changeds[i]};
-          if (!decide_always(c_ast, cj, cx, {false, false}, dopts).proved)
-            return reject(why, "stutter class of " + act.name +
-                                   " cannot be re-established");
-        }
+      case ActionClass::Stutter:
+        if (!decide_all(c_ast, sconjs[i], fires_ctx, {false, false}, dopts).proved)
+          return reject(why, "stutter class of " + act.name + " cannot be re-established");
         break;
-      }
       case ActionClass::Exact: {
         const std::size_t bi = static_cast<std::size_t>(cert.matched[i]);
-        for (const Expr& cj : match_conjuncts(ctx, i, bi)) {
-          const std::vector<const Expr*> cx = {&guards[i], &changeds[i]};
-          if (!decide_always(c_ast, cj, cx, {false, false}, dopts).proved)
-            return reject(why, "exact match of " + act.name + " vs " +
-                                   a_ast.actions[bi].name +
-                                   " cannot be re-established");
-        }
+        if (!decide_all(c_ast, match_conjuncts(ctx, i, bi), fires_ctx, {false, false}, dopts)
+                 .proved)
+          return reject(why, "exact match of " + act.name + " vs " +
+                                 a_ast.actions[bi].name + " cannot be re-established");
         break;
       }
       case ActionClass::Mixed: {
@@ -907,8 +680,7 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
         std::vector<Expr> sc = sconjs[i];
         const Expr prop =
             make_binary(Op::Or, conj(std::move(sc)), conj(match_conjuncts(ctx, i, bi)));
-        const std::vector<const Expr*> cx = {&guards[i], &changeds[i]};
-        if (!decide_always(c_ast, prop, cx, {false, false}, dopts).proved)
+        if (!decide_always(c_ast, prop, fires_ctx, {false, false}, dopts).proved)
           return reject(why, "mixed class of " + act.name +
                                  " cannot be re-established");
         break;
@@ -941,92 +713,49 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     if (cert.action_class[i] != ActionClass::Stutter &&
         cert.action_class[i] != ActionClass::Mixed)
       continue;
-    const gcl::ActionAst& act = c_ast.actions[i];
-    auto base_ctx = [&](ObCtx& cx) {
-      cx.add(guards[i], false);
-      cx.add(changeds[i], false);
-      for (const Expr& cj : sconjs[i]) cx.add(cj, true);
-      cx.add(not_dl, true);
-    };
+    ObCtx cx;
+    cx.add(guards[i], false);
+    cx.add(changeds[i], false);
+    for (const Expr& cj : sconjs[i]) cx.add(cj, true);
+    cx.add(not_dl, true);
     if (cert.stutter_ranked_at[i] == kUnranked) {
-      ObCtx cx;
-      base_ctx(cx);
       if (!decide_unsat(c_ast, cx.ptrs, cx.drop, dopts).proved)
-        return reject(why, "stutter exemption of " + act.name +
+        return reject(why, "stutter exemption of " + c_ast.actions[i].name +
                                " cannot be re-established");
-      continue;
-    }
-    const std::size_t site = cert.stutter_ranked_at[i];
-    std::vector<Expr> deltas, ties;
-    for (std::size_t j = 0; j <= site; ++j)
-      deltas.push_back(delta_expr(cert.stutter_components[j].expr, act, ctx.c_cards));
-    for (std::size_t j = 0; j <= site; ++j) {
-      ObCtx cx;
-      base_ctx(cx);
-      for (const Expr& t : ties) cx.add(t, true);
-      const bool strict = j == site;
-      const Expr prop = make_binary(strict ? Op::Lt : Op::Le, deltas[j], make_const(0));
-      if (!decide_always(c_ast, prop, cx.ptrs, cx.drop, dopts).proved)
-        return reject(why, (strict ? std::string("strict stutter decrease of ")
-                                   : std::string("stutter non-increase of ")) +
-                               act.name + " at component " + std::to_string(j) +
-                               " cannot be re-established");
-      ties.push_back(make_binary(Op::Eq, deltas[j], make_const(0)));
+    } else if (!recheck_rank_site(c_ast, i, cert.stutter_components,
+                                  cert.stutter_ranked_at[i] + 1, true, cx.ptrs, cx.drop,
+                                  "stutter ", dopts, why)) {
+      return false;
     }
   }
-  for (std::size_t i = 0; i < nc; ++i) {
-    if (rows[i].stutter_rows.empty()) continue;
-    std::vector<Expr> deltas;
-    for (const RankTerm& c : cert.stutter_components) {
-      Expr d = delta_expr(c.expr, c_ast.actions[i], ctx.c_cards);
-      if (!subset_of(footprint(d, n), rows[i].fp))
-        return reject(why, "a stutter-ranking delta reads outside the footprint of " +
-                               c_ast.actions[i].name);
-      deltas.push_back(std::move(d));
-    }
-    for (const StateVec& row : rows[i].stutter_rows)
-      if (lex_point(deltas, row) != -1)
-        return reject(why, "a stutter row of " + c_ast.actions[i].name +
-                               " does not decrease the stutter ranking");
-  }
+  for (std::size_t i = 0; i < nc; ++i)
+    if (!rows[i].stutter_rows.empty() &&
+        !recheck_point_rows(c_ast, i, cert.stutter_components, rows[i].stutter_rows,
+                            rows[i].fp, "stutter",
+                            "a stutter row of " + c_ast.actions[i].name +
+                                " does not decrease the stutter ranking",
+                            why))
+      return false;
 
   // Visible ranking: non-increase on every non-vacuous action, strict
   // point-wise decrease at every compressed row.
   if (!cert.compressed.empty() && cert.visible_components.empty())
     return reject(why, "compressed rows without a visible ranking");
   if (!cert.visible_components.empty()) {
-    for (std::size_t i = 0; i < nc; ++i) {
-      if (cert.action_class[i] == ActionClass::Vacuous) continue;
-      std::vector<Expr> deltas, ties;
-      for (const RankTerm& c : cert.visible_components)
-        deltas.push_back(delta_expr(c.expr, c_ast.actions[i], ctx.c_cards));
-      for (std::size_t j = 0; j < deltas.size(); ++j) {
-        ObCtx cx;
-        cx.add(guards[i], false);
-        cx.add(changeds[i], false);
-        for (const Expr& t : ties) cx.add(t, true);
-        const Expr prop = make_binary(Op::Le, deltas[j], make_const(0));
-        if (!decide_always(c_ast, prop, cx.ptrs, cx.drop, dopts).proved)
-          return reject(why, "visible non-increase of " + c_ast.actions[i].name +
-                                 " at component " + std::to_string(j) +
-                                 " cannot be re-established");
-        ties.push_back(make_binary(Op::Eq, deltas[j], make_const(0)));
-      }
-    }
-    for (const CompressedRow& row : cert.compressed) {
-      std::vector<Expr> deltas;
-      for (const RankTerm& c : cert.visible_components) {
-        Expr d = delta_expr(c.expr, c_ast.actions[row.action], ctx.c_cards);
-        if (!subset_of(footprint(d, n), rows[row.action].fp))
-          return reject(why,
-                        "a visible-ranking delta reads outside the footprint of " +
-                            c_ast.actions[row.action].name);
-        deltas.push_back(std::move(d));
-      }
-      if (lex_point(deltas, row.source) != -1)
-        return reject(why, "a compressed row of " + c_ast.actions[row.action].name +
-                               " does not strictly decrease the visible ranking");
-    }
+    for (std::size_t i = 0; i < nc; ++i)
+      if (cert.action_class[i] != ActionClass::Vacuous &&
+          !recheck_rank_site(c_ast, i, cert.visible_components,
+                             cert.visible_components.size(), false,
+                             {&guards[i], &changeds[i]}, {false, false}, "visible ",
+                             dopts, why))
+        return false;
+    for (const CompressedRow& row : cert.compressed)
+      if (!recheck_point_rows(c_ast, row.action, cert.visible_components,
+                              {&row.source, 1}, rows[row.action].fp, "visible",
+                              "a compressed row of " + c_ast.actions[row.action].name +
+                                  " does not strictly decrease the visible ranking",
+                              why))
+        return false;
   }
 
   // Reach exclusion.
@@ -1055,10 +784,12 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                                  c_ast.actions[i].name);
       }
     }
+    const std::vector<std::size_t> inv_reads = gcl::footprint(inv, n);
     for (const CompressedRow& row : cert.compressed) {
-      if (!subset_of(footprint(inv, n), rows[row.action].fp))
+      const std::vector<std::size_t>& fp = rows[row.action].fp;
+      if (!std::includes(fp.begin(), fp.end(), inv_reads.begin(), inv_reads.end()))
         return reject(why, "the invariant reads outside a compressed row's footprint");
-      if (gcl::eval(inv, row.source) != 0)
+      if (truthy(inv, row.source))
         return reject(why, "the invariant does not exclude a compressed source");
     }
   }
@@ -1106,7 +837,7 @@ bool validate_refinement_certificate(const gcl::SystemAst& c_ast,
     return reject(why, "certificate action tables do not match the system");
   if (cert.deadlock_support.size() != na)
     return reject(why, "certificate deadlock table does not match the abstraction");
-  const std::vector<int> cards = prover_cards(c_ast);
+  const std::vector<int> cards = gcl::cardinalities(c_ast);
   for (std::size_t i = 0; i < nc; ++i) {
     const ActionClass c = cert.action_class[i];
     if (c == ActionClass::Exact || c == ActionClass::Mixed) {
@@ -1136,7 +867,7 @@ bool validate_refinement_certificate(const gcl::SystemAst& c_ast,
     for (std::size_t i : sup)
       if (i >= nc) return reject(why, "deadlock support out of range");
 
-  const std::size_t total = valuation_count(all_vars(n), cards, cert.budget);
+  const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, cert.budget);
   if (total <= cert.budget)
     return validate_mode_a(c_ast, a_ast, alpha, cert, why);
   return validate_mode_b(c_ast, a_ast, alpha, cert, why);
@@ -1273,10 +1004,10 @@ std::string serialize_refinement_certificate(const RefinementCertificate& cert) 
     out << "\n";
   }
   out << "stutter-components " << cert.stutter_components.size() << "\n";
-  for (const RankTerm& c : cert.stutter_components)
+  for (const RankComponent& c : cert.stutter_components)
     out << "scomp " << gcl::print_expr(c.expr) << "\n";
   out << "visible-components " << cert.visible_components.size() << "\n";
-  for (const RankTerm& c : cert.visible_components)
+  for (const RankComponent& c : cert.visible_components)
     out << "vcomp " << gcl::print_expr(c.expr) << "\n";
   out << "has-invariant " << (cert.has_invariant ? 1 : 0) << "\n";
   if (cert.has_invariant)
@@ -1375,7 +1106,7 @@ std::optional<RefinementCertificate> parse_refinement_certificate(
     cert.enum_footprint.push_back(std::move(fp));
   }
   auto parse_terms = [&](const char* header, const char* item,
-                         std::vector<RankTerm>& terms) -> bool {
+                         std::vector<RankComponent>& terms) -> bool {
     std::size_t k = 0;
     if (!r.line(header, f) || !(f >> k)) return false;
     for (std::size_t i = 0; i < k; ++i) {
@@ -1383,7 +1114,7 @@ std::optional<RefinementCertificate> parse_refinement_certificate(
       const std::string body = CertReader::rest(f);
       try {
         Expr e = gcl::parse_expr_over(body, c_ast);
-        terms.push_back({body, std::move(e)});
+        terms.push_back({RankComponent::Kind::Template, body, std::move(e), {}});
       } catch (...) {
         return false;
       }

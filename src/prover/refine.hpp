@@ -102,14 +102,6 @@ struct RefineObligation {
 
 const char* refine_obligation_kind_name(RefineObligation::Kind k);
 
-/// A ranking component of the stutter or visible tuple (template
-/// expressions only — enumerated tables never appear here; the
-/// enumerated rows carry their own point-wise evidence instead).
-struct RankTerm {
-  std::string pretty;
-  gcl::Expr expr;
-};
-
 /// A static, independently re-validatable proof of [C curlypreceq A].
 struct RefinementCertificate {
   std::string c_system;
@@ -125,12 +117,14 @@ struct RefinementCertificate {
   std::vector<std::vector<std::size_t>> enum_footprint;
   std::vector<CompressedRow> compressed;  // replayable Compressed rows
 
-  std::vector<RankTerm> stutter_components;  // most significant first
+  /// The stutter and visible tuples hold Template components only —
+  /// enumerated rows carry their own point-wise evidence instead.
+  std::vector<RankComponent> stutter_components;  // most significant first
   /// Per concrete action: component index proving its strict stutter
   /// decrease (Stutter/Mixed classes), kUnranked otherwise.
   std::vector<std::size_t> stutter_ranked_at;
 
-  std::vector<RankTerm> visible_components;  // empty without compressed
+  std::vector<RankComponent> visible_components;  // empty without compressed
   bool has_invariant = false;
   gcl::Expr invariant;  // over C's variables; meaningful when has_invariant
 

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 
-#include "prover/rank.hpp"
+#include "gcl/compile.hpp"
 
 namespace cref::prover {
 
 using gcl::Expr;
 using gcl::Op;
-
-std::vector<std::size_t> all_vars(std::size_t n) {
-  std::vector<std::size_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = i;
-  return v;
-}
 
 void push_candidate(std::vector<Candidate>& pool, std::string pretty, Expr e,
                     std::size_t max_pool) {
@@ -101,6 +95,122 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
     }
   }
   return pool;
+}
+
+
+LexSynthesis synthesize_ranking(const gcl::SystemAst& ast,
+                                const std::vector<Candidate>& pool,
+                                const std::vector<SymbolicObligation>& obligations,
+                                const std::vector<PointRow>& rows,
+                                std::size_t max_components, const DecideOptions& opts) {
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  LexSynthesis out;
+  std::vector<std::size_t> open(obligations.size());
+  for (std::size_t o = 0; o < open.size(); ++o) open[o] = o;
+  std::vector<const PointRow*> open_rows;
+  open_rows.reserve(rows.size());
+  for (const PointRow& row : rows) open_rows.push_back(&row);
+  std::vector<std::vector<Expr>> ties(obligations.size());
+
+  // Context of obligation o: its own conjuncts, then its ties.
+  auto decide = [&](std::size_t o, const Expr& prop) {
+    std::vector<const Expr*> ctx = obligations[o].context;
+    std::vector<bool> drop = obligations[o].droppable;
+    for (const Expr& t : ties[o]) {
+      ctx.push_back(&t);
+      drop.push_back(true);
+    }
+    return decide_always(ast, prop, ctx, drop, opts);
+  };
+  auto strict_open = [&] {
+    for (std::size_t o : open)
+      if (obligations[o].strict) return true;
+    return false;
+  };
+
+  for (const Candidate& cand : pool) {
+    if ((!strict_open() && open_rows.empty()) || out.components.size() >= max_components)
+      break;
+    struct Eval {
+      std::size_t obligation;
+      Expr delta;
+      bool strict;
+      DecideOutcome outcome;
+    };
+    std::vector<Eval> evals;
+    bool rejected = false;
+    bool any_strict = false;
+    for (std::size_t o : open) {
+      Expr delta = delta_expr(cand.expr, ast.actions[obligations[o].action], cards);
+      bool strict = false;
+      DecideOutcome r;
+      if (obligations[o].strict) {
+        r = decide(o, make_binary(Op::Lt, delta, make_const(0)));
+        strict = r.proved;
+      }
+      if (!strict) {
+        r = decide(o, make_binary(Op::Le, delta, make_const(0)));
+        if (!r.proved) {
+          rejected = true;
+          break;
+        }
+      }
+      any_strict |= strict;
+      evals.push_back({o, std::move(delta), strict, r});
+    }
+    std::vector<char> row_decreased(open_rows.size(), 0);
+    for (std::size_t k = 0; k < open_rows.size() && !rejected; ++k) {
+      const PointRow& row = *open_rows[k];
+      const Expr delta = delta_expr(cand.expr, ast.actions[row.action], cards);
+      // Point evaluation is only sound when the delta reads nothing
+      // outside the row's enumeration footprint.
+      const std::vector<std::size_t> reads = gcl::footprint(delta, cards.size());
+      if (!std::includes(row.fp->begin(), row.fp->end(), reads.begin(), reads.end())) {
+        rejected = true;
+        break;
+      }
+      const auto d = gcl::eval(delta, *row.state);
+      if (d > 0) rejected = true;
+      if (d < 0) {
+        row_decreased[k] = 1;
+        any_strict = true;
+      }
+    }
+    if (rejected) continue;
+    if (!any_strict) {
+      // A component that provably never moves for anyone adds no
+      // information — require a possible decrease for some obligation
+      // still owed one.
+      bool useful = false;
+      for (const Eval& e : evals) {
+        if (!obligations[e.obligation].strict) continue;
+        if (!decide(e.obligation, make_binary(Op::Eq, e.delta, make_const(0))).proved) {
+          useful = true;
+          break;
+        }
+      }
+      if (!useful) continue;
+    }
+
+    const std::size_t comp = out.components.size();
+    out.components.push_back({RankComponent::Kind::Template, cand.pretty, cand.expr, {}});
+    std::vector<std::size_t> still_open;
+    for (Eval& e : evals) {
+      out.steps.push_back({e.obligation, comp, e.strict, e.outcome});
+      if (e.strict) continue;
+      ties[e.obligation].push_back(make_binary(Op::Eq, std::move(e.delta), make_const(0)));
+      still_open.push_back(e.obligation);
+    }
+    open = std::move(still_open);
+    std::vector<const PointRow*> still_rows;
+    for (std::size_t k = 0; k < open_rows.size(); ++k)
+      if (!row_decreased[k]) still_rows.push_back(open_rows[k]);
+    open_rows = std::move(still_rows);
+  }
+  for (std::size_t o : open)
+    if (obligations[o].strict) out.unranked.push_back(o);
+  out.rows_left = open_rows.size();
+  return out;
 }
 
 }  // namespace cref::prover

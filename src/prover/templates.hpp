@@ -1,12 +1,12 @@
 #pragma once
 
-// The shared ranking-template machinery of the static provers: the
-// interference-ordered candidate pool that prove.cpp's stabilization
-// synthesis greedily walks, extracted so the refinement prover
-// (refine.cpp) can synthesize stutter and visible rankings from the
-// SAME pool — one template grammar, two proof rules. Also the
-// mixed-radix state packing used by enumerated table components and by
-// both validators' complete-replay modes.
+// The ranking synthesis of both static provers: the interference-ordered
+// template pool and the one greedy lexicographic synthesizer that walks
+// it. The stabilization prover (prove.cpp) synthesizes its ranking with
+// it, the refinement prover (refine.cpp) its stutter and visible
+// rankings — one template grammar, one search, three proof rules. The
+// validators never call it: they re-check the resulting tuples with
+// rank.hpp's re-checker.
 
 #include <cstddef>
 #include <string>
@@ -15,34 +15,9 @@
 #include "core/space.hpp"
 #include "gcl/ast.hpp"
 #include "prover/interference.hpp"
+#include "prover/rank.hpp"
 
 namespace cref::prover {
-
-/// Mixed-radix packing matching core::Space (variable 0 least
-/// significant) — the index space of table components.
-struct Packing {
-  std::vector<std::size_t> strides;
-  std::size_t total = 1;
-
-  explicit Packing(const std::vector<int>& cards) {
-    strides.resize(cards.size());
-    for (std::size_t i = 0; i < cards.size(); ++i) {
-      strides[i] = total;
-      total *= static_cast<std::size_t>(cards[i]);
-    }
-  }
-  std::size_t encode(const StateVec& s) const {
-    std::size_t id = 0;
-    for (std::size_t i = 0; i < strides.size(); ++i)
-      id += static_cast<std::size_t>(s[i]) * strides[i];
-    return id;
-  }
-  void decode(std::size_t id, const std::vector<int>& cards, StateVec& out) const {
-    out.resize(strides.size());
-    for (std::size_t i = 0; i < strides.size(); ++i)
-      out[i] = static_cast<Value>(id / strides[i] % static_cast<std::size_t>(cards[i]));
-  }
-};
 
 /// One ranking candidate from the template pool.
 struct Candidate {
@@ -63,8 +38,54 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
                                      const InterferenceGraph& ig,
                                      std::size_t max_pool);
 
-/// [0, n) — the full-footprint variable list for whole-Sigma
-/// enumeration.
-std::vector<std::size_t> all_vars(std::size_t n);
+/// What one action owes the ranking: the candidate's Delta for `action`
+/// is decided under `context` plus, droppable, the ties Delta == 0 of
+/// the components accepted before. A `strict` obligation is discharged
+/// by a strict decrease (non-increase keeps it open, tied); otherwise
+/// only non-increase is owed, at every component.
+struct SymbolicObligation {
+  std::size_t action = 0;
+  std::vector<const gcl::Expr*> context;
+  std::vector<bool> droppable;
+  bool strict = true;
+};
+
+/// One enumerated row of `action`: `state` is a valuation of `fp`,
+/// every other variable 0. A row is discharged by a strictly negative
+/// Delta at the state; a positive one rejects the candidate, and so
+/// does a Delta that reads outside `fp`.
+struct PointRow {
+  std::size_t action = 0;
+  const StateVec* state = nullptr;
+  const std::vector<std::size_t>* fp = nullptr;
+};
+
+struct LexSynthesis {
+  std::vector<RankComponent> components;  // Template, most significant first
+  /// Per accepted component, per obligation still open then (in
+  /// obligation order): the decide outcome of its leg.
+  struct Step {
+    std::size_t obligation = 0;
+    std::size_t component = 0;
+    bool strict = false;  // strict decrease: the obligation is ranked here
+    DecideOutcome outcome;
+  };
+  std::vector<Step> steps;
+  std::vector<std::size_t> unranked;  // strict obligations never ranked
+  std::size_t rows_left = 0;          // rows never strictly decreased
+};
+
+/// Greedy lexicographic synthesis: walks `pool` in order while a strict
+/// obligation or a row is open and fewer than `max_components` are
+/// accepted. A candidate is rejected unless Delta <= 0 is proved for
+/// every open obligation and holds at every open row; it is accepted
+/// when it strictly decreases for one of them or, failing that, is not
+/// provably constant for some open strict obligation. Strictly
+/// decreased obligations and rows close.
+LexSynthesis synthesize_ranking(const gcl::SystemAst& ast,
+                                const std::vector<Candidate>& pool,
+                                const std::vector<SymbolicObligation>& obligations,
+                                const std::vector<PointRow>& rows,
+                                std::size_t max_components, const DecideOptions& opts);
 
 }  // namespace cref::prover

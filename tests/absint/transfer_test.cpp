@@ -84,7 +84,7 @@ class TransferTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ast_ = gcl::parse(kProgram);
-    cards_ = cards_of(ast_);
+    cards_ = gcl::cardinalities(ast_);
     states_ = states_of(cards_);
   }
 

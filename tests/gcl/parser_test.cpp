@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+
+#include "gcl/alpha.hpp"
 
 namespace cref::gcl {
 namespace {
@@ -148,6 +151,75 @@ TEST(ParserTest, TrueFalseLiterals) {
   SystemAst ast =
       parse("system p { var a : bool; action t : true && !false -> a := 1; }");
   EXPECT_EQ(ast.actions[0].guard.op, Op::And);
+}
+
+// A system whose one guard is `expr == 0`; the expression starts at
+// line 3, column 14.
+std::string with_guard(const std::string& expr) {
+  return "system p {\n  var x : 0..3;\n  action t : " + expr + " == 0 -> x := 0;\n}\n";
+}
+
+std::string nested_parens(int n) { return std::string(n, '(') + "x" + std::string(n, ')'); }
+
+std::string sum_of(int terms) {
+  std::string sum = "x";
+  for (int i = 1; i < terms; ++i) sum += " + x";
+  return sum;
+}
+
+TEST(ParserTest, DeepExpressionsAreParseErrorsNotStackOverflows) {
+  // Each shape used to overflow the stack (SIGSEGV) instead of failing
+  // to parse: the 257th '(' or unary '-' crosses the bound, and so does
+  // the 256th '+' of a left-deep sum, which the parser builds without
+  // recursion but eval and the destructor walk recursively.
+  expect_parse_error(with_guard(nested_parens(5000)),
+                     {"gcl: line 3:270", "nested deeper than 256 levels"});
+  expect_parse_error(with_guard(std::string(50000, '-') + "x"),
+                     {"gcl: line 3:270", "nested deeper than 256 levels"});
+  expect_parse_error(with_guard(sum_of(20000)),
+                     {"gcl: line 3:1036", "nested deeper than 256 levels"});
+}
+
+TEST(ParserTest, DepthBoundAdmitsEveryShallowerExpression) {
+  // Open parentheses, unary operators and tree levels add up: a leaf
+  // inside 255 parentheses sits at depth 256, and so does the root of a
+  // 256-term sum or of 255 minuses over a leaf.
+  const SystemAst sys = parse("system c { var x : 0..3; }");
+  EXPECT_NO_THROW(parse_expr_over(nested_parens(kMaxExprDepth - 1), sys));
+  EXPECT_NO_THROW(parse_expr_over(std::string(kMaxExprDepth - 1, '-') + "x", sys));
+  EXPECT_NO_THROW(parse_expr_over(sum_of(kMaxExprDepth), sys));
+  EXPECT_THROW(parse_expr_over(nested_parens(kMaxExprDepth), sys), std::runtime_error);
+  EXPECT_THROW(parse_expr_over(std::string(kMaxExprDepth, '-') + "x", sys),
+               std::runtime_error);
+  EXPECT_THROW(parse_expr_over(sum_of(kMaxExprDepth + 1), sys), std::runtime_error);
+  // The comparison around a full-depth sum is one level too many.
+  EXPECT_THROW(parse(with_guard(sum_of(kMaxExprDepth))), std::runtime_error);
+  EXPECT_NO_THROW(parse(with_guard(sum_of(kMaxExprDepth - 1))));
+}
+
+TEST(ParserTest, AlphaTextSharesTheSystemGrammar) {
+  const SystemAst c = parse("system c { var x : 0..3; }");
+  const SystemAst a = parse("system a { var t : bool; }");
+  // true/false are constants in alpha text as in system text.
+  const AlphaSpec spec =
+      parse_alpha("alpha m { t := x == 3 || false; invariant : true; }", c, a);
+  ASSERT_EQ(spec.defs.size(), 1u);
+  EXPECT_EQ(spec.defs[0].value.op, Op::Or);
+  ASSERT_TRUE(spec.invariant != nullptr);
+  EXPECT_EQ(spec.invariant->op, Op::Const);
+  EXPECT_EQ(spec.invariant->value, 1);
+  // The depth bound holds for alpha maps and certificate expressions.
+  try {
+    parse_alpha("alpha m { t := " + nested_parens(5000) + "; }", c, a);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("alpha: line 1:272: expression nested deeper"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_expr_over(sum_of(kMaxExprDepth), c).op, Op::Add);
+  EXPECT_THROW(parse_expr_over(sum_of(20000), c), std::runtime_error);
+  EXPECT_THROW(parse_expr_over(std::string(50000, '!') + "x", c), std::runtime_error);
 }
 
 }  // namespace

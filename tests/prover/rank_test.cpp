@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,18 +33,12 @@ system pair {
 }
 )";
 
-std::vector<std::size_t> all_vars(const gcl::SystemAst& ast) {
-  std::vector<std::size_t> v(ast.vars.size());
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = i;
-  return v;
-}
-
 // Brute-force check: symbolic(s) == concrete over EVERY state.
 void expect_matches_everywhere(const gcl::SystemAst& ast, const gcl::Expr& symbolic,
                                const std::function<std::int64_t(const StateVec&)>& concrete) {
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   StateVec scratch;
-  for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
+  gcl::for_each_valuation(gcl::all_vars(ast.vars.size()), cards, scratch, [&](const StateVec& s) {
     EXPECT_EQ(gcl::eval(symbolic, s), concrete(s));
     return true;
   });
@@ -51,7 +46,7 @@ void expect_matches_everywhere(const gcl::SystemAst& ast, const gcl::Expr& symbo
 
 TEST(RankTest, PostExprMatchesActionExecution) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // rho = x + 2*y + z, evaluated after each action, must equal rho of
   // the concretely-executed post state (guard ignored on both sides).
   const gcl::Expr rho = make_sum({make_var(ast, 0),
@@ -70,7 +65,7 @@ TEST(RankTest, PostExprMatchesActionExecution) {
 
 TEST(RankTest, ApplyActionReadsOldStateAndLastWriteWins) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // `swap` assigns x := y, y := x from the OLD state: a genuine swap.
   StateVec s = {3, 1, 1}, out;
   apply_action_state(ast.actions[1], cards, s, out);
@@ -84,12 +79,12 @@ TEST(RankTest, ApplyActionReadsOldStateAndLastWriteWins) {
 
 TEST(RankTest, DeltaCancelsUntouchedTerms) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // `copy` writes only y, so Delta(x + y + z) must reference only
   // x and y — the x and z terms cancel syntactically.
   const gcl::Expr rho = make_sum({make_var(ast, 0), make_var(ast, 1), make_var(ast, 2)});
   const gcl::Expr delta = delta_expr(rho, ast.actions[0], cards);
-  EXPECT_EQ(footprint(delta, ast.vars.size()), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(gcl::footprint(delta, ast.vars.size()), (std::vector<std::size_t>{0, 1}));
   // And it still computes the true difference everywhere.
   StateVec out;
   expect_matches_everywhere(ast, delta, [&](const StateVec& s) {
@@ -100,7 +95,7 @@ TEST(RankTest, DeltaCancelsUntouchedTerms) {
 
 TEST(RankTest, DeltaOfUntouchedExprIsConstZero) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   // `copy` writes y only; a ranking over z alone is untouched, and the
   // fast path must collapse the Delta to a literal Const 0 (so the
   // prover can discard the candidate without enumerating anything).
@@ -111,12 +106,12 @@ TEST(RankTest, DeltaOfUntouchedExprIsConstZero) {
 
 TEST(RankTest, ChangedExprMatchesStateComparison) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   for (const gcl::ActionAst& action : ast.actions) {
     SCOPED_TRACE(action.name);
     const gcl::Expr changed = changed_expr(action, cards);
     StateVec scratch, out;
-    for_each_valuation(all_vars(ast), cards, scratch, [&](const StateVec& s) {
+    gcl::for_each_valuation(gcl::all_vars(ast.vars.size()), cards, scratch, [&](const StateVec& s) {
       apply_action_state(action, cards, s, out);
       EXPECT_EQ(gcl::eval(changed, s) != 0, out != s);
       return true;
@@ -147,11 +142,11 @@ TEST(RankTest, ConjunctsSplitTopLevelAndOnly) {
 
 TEST(RankTest, ValuationCountSaturatesAtCap) {
   const gcl::SystemAst ast = gcl::parse(kPair);
-  const std::vector<int> cards = prover_cards(ast);
+  const std::vector<int> cards = gcl::cardinalities(ast);
   EXPECT_EQ(cards, (std::vector<int>{4, 4, 2}));
-  EXPECT_EQ(valuation_count({0, 1, 2}, cards, 1024), 32u);
-  EXPECT_EQ(valuation_count({}, cards, 1024), 1u);
-  EXPECT_EQ(valuation_count({0, 1, 2}, cards, 16), SIZE_MAX);
+  EXPECT_EQ(gcl::valuation_count({0, 1, 2}, cards, 1024), 32u);
+  EXPECT_EQ(gcl::valuation_count({}, cards, 1024), 1u);
+  EXPECT_EQ(gcl::valuation_count({0, 1, 2}, cards, 16), SIZE_MAX);
 }
 
 TEST(RankTest, DecideAlwaysProvesAndRespectsContext) {

@@ -101,10 +101,39 @@ Proved proved_jump_chain() {
   return p;
 }
 
+/// tests/prover/gcl/jump_chain.gcl: jump_chain above plus a switch s,
+/// so `jump` is Enumerated with one stutter row (s == 0: p stays 2) and
+/// one compressed row (s == 1: p falls 2 -> 0). |Sigma| = 384 is above
+/// the 128-valuation budget: mode B re-checks both rows point-wise.
+Proved proved_jump_rows() {
+  const fs::path dir = fs::path(CREF_SOURCE_DIR) / "tests" / "prover" / "gcl";
+  Proved p{gcl::parse(util::read_file(dir / "jump_chain.gcl")),
+           gcl::parse(util::read_file(dir / "fall_chain.gcl")), {}, {}};
+  p.alpha = gcl::parse_alpha(util::read_file(dir / "jump_proj.alpha"), p.c, p.a);
+  RefineOptions opts;
+  opts.budget = 128;
+  RefineResult r = prove_refinement(p.c, p.a, p.alpha, opts);
+  EXPECT_EQ(r.verdict, RefineVerdict::Proved)
+      << (r.failures.empty() ? std::string("no failure recorded") : r.failures[0]);
+  p.cert = std::move(*r.certificate);
+  return p;
+}
+
 ::testing::AssertionResult rejected(const Proved& p, const RefinementCertificate& bad) {
   std::string why;
   if (validate_refinement_certificate(p.c, p.a, p.alpha, bad, &why))
     return ::testing::AssertionFailure() << "tampered certificate was ACCEPTED";
+  return ::testing::AssertionSuccess() << why;
+}
+
+/// Rejected, and by the leg whose message starts with `reason`.
+::testing::AssertionResult rejected_by(const Proved& p, const RefinementCertificate& bad,
+                                       const std::string& reason) {
+  std::string why;
+  if (validate_refinement_certificate(p.c, p.a, p.alpha, bad, &why))
+    return ::testing::AssertionFailure() << "tampered certificate was ACCEPTED";
+  if (why.rfind(reason, 0) != 0)
+    return ::testing::AssertionFailure() << "rejected for another reason: " << why;
   return ::testing::AssertionSuccess() << why;
 }
 
@@ -222,6 +251,54 @@ TEST(RefineTamper, DroppedCompressedRowIsRejectedModeB) {
   bad = p.cert;
   bad.compressed.push_back(bad.compressed.back());
   EXPECT_TRUE(rejected(p, bad));
+}
+
+// --- scenario 7b: enumerated stutter and compressed rows (mode B) ----
+
+TEST(RefineTamper, EnumeratedRowsFixtureValidatesInModeB) {
+  const Proved p = proved_jump_rows();
+  ASSERT_EQ(p.cert.action_class[0], ActionClass::Enumerated);
+  EXPECT_EQ(p.cert.obligations[0].detail,
+            "1 stutter / 0 exempt / 0 exact / 1 compressed row(s)");
+  EXPECT_EQ(p.cert.compressed.size(), 1u);
+  ASSERT_EQ(p.cert.stutter_components.size(), 2u);
+  ASSERT_EQ(p.cert.visible_components.size(), 1u);
+  std::string why;
+  EXPECT_TRUE(validate_refinement_certificate(p.c, p.a, p.alpha, p.cert, &why)) << why;
+}
+
+TEST(RefineTamper, StutterRowWithoutDecreaseIsRejectedModeB) {
+  const Proved p = proved_jump_rows();
+  // 63 - u still ranks work's stutter steps, but jump's stutter row
+  // leaves u alone: the whole tuple ties there.
+  RefinementCertificate bad = p.cert;
+  bad.stutter_components[1].expr = gcl::parse_expr_over("63 - u", p.c);
+  EXPECT_TRUE(rejected_by(p, bad, "a stutter row of jump does not decrease the stutter ranking"));
+}
+
+TEST(RefineTamper, CompressedRowWithoutDecreaseIsRejectedModeB) {
+  const Proved p = proved_jump_rows();
+  // A constant is non-increasing everywhere and decreases nowhere.
+  RefinementCertificate bad = p.cert;
+  bad.visible_components[0].expr = make_const(0);
+  EXPECT_TRUE(rejected_by(
+      p, bad, "a compressed row of jump does not strictly decrease the visible ranking"));
+}
+
+TEST(RefineTamper, VisibleIncreaseIsRejectedModeB) {
+  const Proved p = proved_jump_rows();
+  RefinementCertificate bad = p.cert;
+  bad.visible_components[0].expr =
+      make_unary(gcl::Op::Neg, std::move(bad.visible_components[0].expr));
+  EXPECT_TRUE(rejected_by(p, bad, "visible non-increase of jump at component 0"));
+}
+
+TEST(RefineTamper, StutterIncreaseIsRejectedModeB) {
+  const Proved p = proved_jump_rows();
+  RefinementCertificate bad = p.cert;
+  for (RankComponent& c : bad.stutter_components)
+    c.expr = make_unary(gcl::Op::Neg, std::move(c.expr));
+  EXPECT_TRUE(rejected_by(p, bad, "stutter non-increase of work"));
 }
 
 // --- scenario 8: forged deadlock support (mode B) --------------------
