@@ -404,10 +404,4 @@ AbsBox AbsRegion::hull() const {
   return h;
 }
 
-double AbsRegion::gamma_size_bound(const std::vector<int>& cards) const {
-  double n = 0.0;
-  for (const AbsBox& b : boxes) n += b.gamma_size(cards);
-  return n;
-}
-
 }  // namespace cref::absint

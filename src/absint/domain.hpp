@@ -188,10 +188,6 @@ struct AbsRegion {
   /// Join of all boxes (top-less bottom stays bottom-less: precondition
   /// !is_bottom()).
   AbsBox hull() const;
-
-  /// Sum of per-box gamma sizes: an overlap-counting upper bound on the
-  /// number of concrete states in the region.
-  double gamma_size_bound(const std::vector<int>& cards) const;
 };
 
 }  // namespace cref::absint

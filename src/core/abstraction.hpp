@@ -40,7 +40,6 @@ class Abstraction {
   const Space& from() const { return *from_; }
   const Space& to() const { return *to_; }
   bool is_identity() const { return table_.empty() && !map_; }
-  bool is_lazy() const { return static_cast<bool>(map_); }
 
   /// Image of concrete state `s`. For lazy abstractions this allocates
   /// decode buffers per call — fine for diagnostics, wrong for sweeps

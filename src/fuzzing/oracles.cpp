@@ -17,11 +17,11 @@
 #include "prover/ground_truth.hpp"
 #include "prover/prove.hpp"
 #include "prover/refine.hpp"
-#include "refinement/certificate.hpp"
 #include "refinement/checker.hpp"
 #include "refinement/equivalence.hpp"
 #include "refinement/reachability.hpp"
 #include "refinement/random_systems.hpp"
+#include "service/certify.hpp"
 #include "service/service.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
@@ -145,62 +145,67 @@ std::vector<OracleFailure> run_oracles(const FuzzCase& fc, const OracleOptions& 
               " is not a path of C");
 
   // ---- certificate ------------------------------------------------
-  {
-    const bool stab = sr[4].r.holds;
-    auto cert = make_certificate(serial);
-    if (stab != cert.has_value()) {
-      add("certificate", stab ? "stabilizing verdict but no certificate produced"
-                              : "certificate produced for a non-stabilizing system");
-    } else if (cert) {
-      auto ok = validate_certificate(ev.c, fc.a, serial.a_initial(), fc.alpha, *cert);
-      if (!ok.holds)
-        add("certificate", "validator rejected a genuine certificate: " + ok.reason);
+  // Every relation's certificate, of either polarity, as the service
+  // emits it: the independent validator must accept each genuine one
+  // and reject each mutation that provably breaks a component.
+  for (std::size_t i = 0; i < sr.size(); ++i) {
+    const service::Relation rel = service::kAllRelations[i];
+    const CheckResult& res = sr[i].r;
+    const std::string name = sr[i].name;
+    auto validate = [&](const service::JobCertificate& cert) {
+      return service::validate_job_certificate(rel, res.holds, res.witness, cert, ev.c, fc.a,
+                                               ev.c_init, fc.a_init, fc.alpha);
+    };
+    const auto cert = service::make_job_certificate(serial, rel, res);
+    if (!cert) {
+      add("certificate", name + ": no certificate produced");
+      continue;
+    }
+    if (CheckResult ok = validate(*cert); !ok.holds) {
+      add("certificate", name + ": validator rejected a genuine certificate: " + ok.reason);
+      continue;
+    }
+    ++st.certificates_validated;
+    auto expect_reject = [&](const service::JobCertificate& mut, const char* kind) {
+      if (validate(mut).holds)
+        add("certificate", name + ": mutated certificate accepted (" + kind + ")");
       else
-        ++st.certificates_validated;
-
-      // Mutations that provably break a component; the independent
-      // validator must reject every one of them.
-      auto expect_reject = [&](const StabilizationCertificate& mut, const char* kind) {
-        if (validate_certificate(ev.c, fc.a, serial.a_initial(), fc.alpha, mut).holds)
-          add("certificate", std::string("mutated certificate accepted (") + kind + ")");
-        else
-          ++st.mutations_rejected;
-      };
-      // (a) bump rho across the first C edge: breaks non-increase if the
-      // edge is good, breaks strict decrease if it is bad.
-      for (StateId s = 0; s < ev.c.num_states(); ++s) {
-        auto succ = ev.c.successors(s);
-        if (succ.empty()) continue;
-        StabilizationCertificate mut = *cert;
-        mut.rho[succ[0]] = mut.rho[s] + 1;
-        expect_reject(mut, "rho-bump");
-        break;
+        ++st.mutations_rejected;
+    };
+    service::JobCertificate flipped = *cert;
+    flipped.positive = !flipped.positive;
+    expect_reject(flipped, "polarity-flip");
+    if (!res.holds) continue;
+    // The first edge s -> t with s != t: rho(t) > rho(s) breaks the
+    // non-increase every edge owes.
+    std::optional<std::pair<StateId, StateId>> live_stutter;
+    bool bumped = cert->rho.empty();
+    for (StateId s = 0; s < ev.c.num_states(); ++s) {
+      const bool in_scope =
+          rel != service::Relation::kRefinementInit || cert->c_region[s] != 0;
+      for (StateId t : ev.c.successors(s)) {
+        if (s == t) continue;
+        if (!bumped) {
+          service::JobCertificate mut = *cert;
+          mut.rho[t] = mut.rho[s] + 1;
+          expect_reject(mut, "rho-bump");
+          bumped = true;
+        }
+        if (!live_stutter && in_scope && fc.image(s) == fc.image(t) &&
+            !fc.a.is_deadlock(fc.image(s)))
+          live_stutter = {s, t};
       }
-      // (b) claim an unreachable A-state reachable with no witness path.
-      for (StateId u = 0; u < fc.a.num_states(); ++u) {
-        if (cert->a_reachable[u]) continue;
-        StabilizationCertificate mut = *cert;
-        mut.a_reachable[u] = 1;
-        mut.a_parent[u] = StabilizationCertificate::kNoParent;
-        expect_reject(mut, "reach-flip");
-        break;
-      }
-      // (c) corrupt a BFS depth: breaks the parent/depth forest.
-      for (StateId u = 0; u < fc.a.num_states(); ++u) {
-        if (!cert->a_reachable[u] ||
-            cert->a_parent[u] == StabilizationCertificate::kNoParent)
-          continue;
-        StabilizationCertificate mut = *cert;
-        mut.a_depth[u] += 1;
-        expect_reject(mut, "depth-corrupt");
-        break;
-      }
-      // (d) truncate a component: sizes must match the graphs.
-      if (ev.c.num_states() > 0) {
-        StabilizationCertificate mut = *cert;
-        mut.rho.pop_back();
-        expect_reject(mut, "rho-truncate");
-      }
+    }
+    if (!cert->sigma.empty()) {
+      service::JobCertificate mut = *cert;
+      mut.sigma.pop_back();
+      expect_reject(mut, "sigma-truncate");
+    }
+    // A live stutter edge owes a strict sigma decrease.
+    if (live_stutter) {
+      service::JobCertificate mut = *cert;
+      mut.sigma[live_stutter->second] = mut.sigma[live_stutter->first];
+      expect_reject(mut, "sigma-flatten");
     }
   }
 

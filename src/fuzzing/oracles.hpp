@@ -10,10 +10,11 @@
 //                           EdgeStats)
 //   witness-path            every failing verdict's witness is a real
 //                           path/cycle of C
-//   certificate             stabilizing => make_certificate validates;
-//                           not stabilizing => no certificate; every
-//                           applicable certificate mutation is REJECTED
-//                           by the validator
+//   certificate             every relation's job certificate, either
+//                           polarity, validates; every applicable
+//                           mutation (polarity flip, rho bump, sigma
+//                           truncated or flattened on a live stutter
+//                           edge) is REJECTED by the validator
 //   simulation              cycles discovered by seeded random walks
 //                           are "good" whenever the checker says
 //                           stabilizing; for GCL cases, simulator runs

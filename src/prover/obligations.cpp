@@ -154,11 +154,6 @@ Expr not_a_deadlock_expr(const AlphaCtx& ctx) {
   return disj(std::move(fires));
 }
 
-void apply_a_action(const AlphaCtx& ctx, std::size_t bi, const StateVec& as,
-                    StateVec& out) {
-  apply_action_state(ctx.a.actions[bi], ctx.a_cards, as, out);
-}
-
 bool a_is_deadlock(const AlphaCtx& ctx, const StateVec& as) {
   StateVec post;
   for (const gcl::ActionAst& b : ctx.a.actions) {

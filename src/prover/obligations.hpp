@@ -107,10 +107,4 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
                                                     std::size_t max_nodes,
                                                     bool* exhausted);
 
-/// Executes abstract action `bi` on `as` (guard not checked) into
-/// `out`, with the compiler's multiple-assignment + Euclidean-wrap
-/// semantics.
-void apply_a_action(const AlphaCtx& ctx, std::size_t bi, const StateVec& as,
-                    StateVec& out);
-
 }  // namespace cref::prover

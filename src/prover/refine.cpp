@@ -1100,9 +1100,9 @@ std::optional<RefinementCertificate> parse_refinement_certificate(
         return std::nullopt;
       }
     }
-    std::vector<std::size_t> fp(fpk);
+    std::vector<std::size_t> fp;
     for (std::size_t k = 0; k < fpk; ++k)
-      if (!(f >> fp[k])) return std::nullopt;
+      if (!(f >> fp.emplace_back())) return std::nullopt;
     cert.enum_footprint.push_back(std::move(fp));
   }
   auto parse_terms = [&](const char* header, const char* item,
@@ -1141,26 +1141,24 @@ std::optional<RefinementCertificate> parse_refinement_certificate(
     CompressedRow row;
     std::size_t nv = 0;
     if (!r.line("row", f) || !(f >> row.action >> nv)) return std::nullopt;
-    row.source.resize(nv);
     for (std::size_t k = 0; k < nv; ++k) {
       long long v = 0;
       if (!(f >> v)) return std::nullopt;
-      row.source[k] = static_cast<Value>(v);
+      row.source.push_back(static_cast<Value>(v));
     }
     std::size_t np = 0;
     if (!(f >> np)) return std::nullopt;
-    row.a_path.resize(np);
     for (std::size_t k = 0; k < np; ++k)
-      if (!(f >> row.a_path[k])) return std::nullopt;
+      if (!(f >> row.a_path.emplace_back())) return std::nullopt;
     cert.compressed.push_back(std::move(row));
   }
   if (!r.line("supports", f) || !(f >> count)) return std::nullopt;
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t k = 0;
     if (!r.line("support", f) || !(f >> k)) return std::nullopt;
-    std::vector<std::size_t> sup(k);
+    std::vector<std::size_t> sup;
     for (std::size_t j = 0; j < k; ++j)
-      if (!(f >> sup[j])) return std::nullopt;
+      if (!(f >> sup.emplace_back())) return std::nullopt;
     cert.deadlock_support.push_back(std::move(sup));
   }
   if (!r.line("end", f)) return std::nullopt;

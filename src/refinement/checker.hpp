@@ -149,7 +149,6 @@ class RefinementChecker {
   /// concurrently running checks on this instance. (The graph build in
   /// the system-taking constructors uses the options passed there.)
   void set_engine_options(const EngineOptions& opts) { opts_ = opts; }
-  const EngineOptions& engine_options() const { return opts_; }
 
   /// Snapshot of the accumulated per-phase wall-clock totals.
   PhaseTimings phase_timings() const;

@@ -9,22 +9,10 @@ namespace cref::service {
 
 namespace {
 
-void write_vec(std::ostringstream& out, const char* label, const std::vector<std::uint64_t>& v) {
+template <class T>
+void write_numbers(std::ostringstream& out, const char* label, const std::vector<T>& v) {
   out << label << ' ' << v.size();
-  for (std::uint64_t x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void write_ids(std::ostringstream& out, const char* label, const std::vector<StateId>& v) {
-  out << label << ' ' << v.size();
-  for (StateId x : v) out << ' ' << x;
-  out << '\n';
-}
-
-void write_vec32(std::ostringstream& out, const char* label,
-                 const std::vector<std::uint32_t>& v) {
-  out << label << ' ' << v.size();
-  for (std::uint32_t x : v) out << ' ' << x;
+  for (T x : v) out << ' ' << x;
   out << '\n';
 }
 
@@ -114,20 +102,20 @@ bool read_word(LineReader& r, const char* label, std::string& out) {
 
 std::string serialize_entry(const CacheEntry& entry) {
   std::ostringstream out;
-  out << "cref-cache 2\n";
+  out << "cref-cache 3\n";
   out << "relation " << to_string(entry.relation) << '\n';
   out << "holds " << (entry.holds ? 1 : 0) << '\n';
   // Raw to end of line; reasons never contain '\n' (and if one ever
   // did, the strict parser would turn the entry into a miss, not a
   // corrupted answer).
   out << "reason " << entry.reason << '\n';
-  write_ids(out, "witness", entry.witness);
+  write_numbers(out, "witness", entry.witness);
   out << "cert " << (entry.certificate ? 1 : 0) << '\n';
   if (entry.certificate) {
     const JobCertificate& c = *entry.certificate;
     out << "positive " << (c.positive ? 1 : 0) << '\n';
-    write_vec(out, "rho", c.rho);
-    write_vec(out, "sigma", c.sigma);
+    write_numbers(out, "rho", c.rho);
+    write_numbers(out, "sigma", c.sigma);
     write_bits(out, "region", c.c_region);
     out << "compressed " << c.compressed.size() << '\n';
     for (const JobCertificate::APath& p : c.compressed) {
@@ -135,14 +123,8 @@ std::string serialize_entry(const CacheEntry& entry) {
       for (StateId x : p.path) out << ' ' << x;
       out << '\n';
     }
-    write_bits(out, "stab-reach", c.stab.a_reachable);
-    write_ids(out, "stab-parent", c.stab.a_parent);
-    write_vec32(out, "stab-depth", c.stab.a_depth);
-    write_vec(out, "stab-rho", c.stab.rho);
-    write_vec(out, "stab-sigma", c.stab.sigma);
     out << "kind " << to_string(c.kind) << '\n';
-    write_ids(out, "init-path", c.init_path);
-    write_bits(out, "a-closed", c.a_closed);
+    write_numbers(out, "init-path", c.init_path);
     // The static refinement certificate is itself a line-oriented text
     // blob; embed it verbatim, length-prefixed by line count.
     std::size_t nlines = 0;
@@ -156,7 +138,7 @@ std::string serialize_entry(const CacheEntry& entry) {
 
 std::optional<CacheEntry> parse_entry(const std::string& text) {
   LineReader r(text);
-  if (auto line = r.next(); !line || *line != "cref-cache 2") return std::nullopt;
+  if (auto line = r.next(); !line || *line != "cref-cache 3") return std::nullopt;
 
   CacheEntry e;
   std::string word;
@@ -205,11 +187,6 @@ std::optional<CacheEntry> parse_entry(const std::string& text) {
       if (!no_trailing(ps)) return std::nullopt;
       c.compressed.push_back(std::move(p));
     }
-    if (!read_bits(r, "stab-reach", c.stab.a_reachable)) return std::nullopt;
-    if (!read_numbers(r, "stab-parent", c.stab.a_parent)) return std::nullopt;
-    if (!read_numbers(r, "stab-depth", c.stab.a_depth)) return std::nullopt;
-    if (!read_numbers(r, "stab-rho", c.stab.rho)) return std::nullopt;
-    if (!read_numbers(r, "stab-sigma", c.stab.sigma)) return std::nullopt;
     if (!read_word(r, "kind", word)) return std::nullopt;
     try {
       c.kind = violation_kind_from_string(word);
@@ -217,7 +194,6 @@ std::optional<CacheEntry> parse_entry(const std::string& text) {
       return std::nullopt;
     }
     if (!read_numbers(r, "init-path", c.init_path)) return std::nullopt;
-    if (!read_bits(r, "a-closed", c.a_closed)) return std::nullopt;
     std::istringstream rs;
     if (!open_labeled(r.next(), "refine", rs)) return std::nullopt;
     std::uint64_t nlines = 0;
@@ -246,25 +222,28 @@ std::optional<CacheEntry> VerdictCache::lookup(const Digest& key) {
   }
   if (dir_.empty()) return std::nullopt;
   auto from_disk = disk_lookup(hex);
-  if (!from_disk) return std::nullopt;
-  store(key, *from_disk);  // promote into memory (re-writing the file is harmless)
+  if (from_disk) remember(hex, *from_disk);  // the file already holds these bytes
   return from_disk;
 }
 
 void VerdictCache::store(const Digest& key, const CacheEntry& entry) {
   const std::string hex = key.hex();
-  if (auto it = map_.find(hex); it != map_.end()) {
+  remember(hex, entry);
+  if (!dir_.empty()) disk_store(hex, entry);
+}
+
+void VerdictCache::remember(const std::string& key_hex, const CacheEntry& entry) {
+  if (auto it = map_.find(key_hex); it != map_.end()) {
     it->second->entry = entry;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Node{hex, entry});
-    map_[hex] = lru_.begin();
+    lru_.push_front(Node{key_hex, entry});
+    map_[key_hex] = lru_.begin();
     if (map_.size() > capacity_) {
       map_.erase(lru_.back().key_hex);
       lru_.pop_back();
     }
   }
-  if (!dir_.empty()) disk_store(hex, entry);
 }
 
 std::optional<CacheEntry> VerdictCache::disk_lookup(const std::string& key_hex) const {

@@ -37,9 +37,9 @@ struct CacheEntry {
   std::optional<JobCertificate> certificate;
 };
 
-/// Versioned line-oriented text encoding ("cref-cache 2" header; the
-/// version was bumped when certificates gained the embedded static
-/// refinement blob — version-1 files parse as misses and recompute).
+/// Versioned line-oriented text encoding ("cref-cache 3" header; the
+/// version was bumped when certificates stopped storing A-side
+/// reachability evidence — older files parse as misses and recompute).
 std::string serialize_entry(const CacheEntry& entry);
 
 /// Strict inverse of serialize_entry: any unknown version, missing
@@ -55,7 +55,8 @@ class VerdictCache {
   explicit VerdictCache(std::size_t capacity = 1024, std::string dir = {});
 
   /// Memory first (refreshing recency), then disk; a disk hit is
-  /// promoted into memory. nullopt on miss or malformed disk entry.
+  /// promoted into memory only (its file is left untouched). nullopt on
+  /// miss or malformed disk entry.
   std::optional<CacheEntry> lookup(const Digest& key);
 
   /// Inserts or overwrites in memory (evicting the least-recently-used
@@ -71,6 +72,7 @@ class VerdictCache {
     CacheEntry entry;
   };
 
+  void remember(const std::string& key_hex, const CacheEntry& entry);  // memory tier
   std::optional<CacheEntry> disk_lookup(const std::string& key_hex) const;
   void disk_store(const std::string& key_hex, const CacheEntry& entry) const;
 

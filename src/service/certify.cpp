@@ -1,7 +1,6 @@
 #include "service/certify.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -23,31 +22,31 @@ std::vector<char> to_chars(const util::DenseBitset& b) {
 // ---------------------------------------------------------------- generation
 
 std::vector<std::uint64_t> scc_rho(const RefinementChecker& rc) {
-  const StateId cn = rc.c_graph().num_states();
+  const StateId cn = rc.num_states();
   const Scc& scc = rc.c_scc();
   std::vector<std::uint64_t> rho(cn);
   for (StateId s = 0; s < cn; ++s) rho[s] = scc.component(s);
   return rho;
 }
 
+constexpr bool init_scoped(Relation r) {
+  return r == Relation::kRefinementInit || r == Relation::kConvergence ||
+         r == Relation::kEventually;
+}
+
+constexpr bool has_rho(Relation r) {
+  return r == Relation::kConvergence || r == Relation::kEventually ||
+         r == Relation::kStabilizing;
+}
+
 std::optional<JobCertificate> make_positive(const RefinementChecker& rc, Relation r,
                                             const CertifyOptions& opts) {
-  const TransitionGraph& c = rc.c_graph();
-  const TransitionGraph& a = rc.a_graph();
-  const StateId cn = c.num_states();
   JobCertificate cert;
   cert.positive = true;
 
-  if (r == Relation::kStabilizing) {
-    auto sc = make_certificate(rc);
-    if (!sc) return std::nullopt;
-    cert.stab = std::move(*sc);
-    return cert;
-  }
-
   util::DenseBitset region;
-  if (r != Relation::kEverywhere) {
-    region = reachable_from(c, rc.c_initial());
+  if (init_scoped(r)) {
+    region = reachable_from(rc.c_graph(), rc.c_initial());
     cert.c_region = to_chars(region);
   }
 
@@ -58,12 +57,17 @@ std::optional<JobCertificate> make_positive(const RefinementChecker& rc, Relatio
   if (!sigma) return std::nullopt;
   cert.sigma = std::move(*sigma);
 
-  if (r == Relation::kConvergence || r == Relation::kEventually) cert.rho = scc_rho(rc);
+  // rho: C's Tarjan component ids. Cross-component edges go from a
+  // higher to a lower id and cycle edges keep it equal, and the verdict
+  // guarantees that every cycle edge follows A.
+  if (has_rho(r)) cert.rho = scc_rho(rc);
 
   if (r == Relation::kConvergence) {
     // Every non-exact, non-stutter edge must be Compressed; store the
     // dropped A-path proving it.
-    for (StateId s = 0; s < cn; ++s) {
+    const TransitionGraph& c = rc.c_graph();
+    const TransitionGraph& a = rc.a_graph();
+    for (StateId s = 0; s < c.num_states(); ++s) {
       const StateId is = rc.image(s);
       for (StateId t : c.successors(s)) {
         const StateId it = rc.image(t);
@@ -102,7 +106,6 @@ std::optional<JobCertificate> make_negative(const RefinementChecker& rc, Relatio
     cert.init_path = std::move(p->states);
     return true;
   };
-  auto a_reachable_chars = [&] { return to_chars(rc.a_reachable()); };
 
   if (w.size() == 1) {
     const StateId s = w[0];
@@ -114,7 +117,6 @@ std::optional<JobCertificate> make_negative(const RefinementChecker& rc, Relatio
       } else {
         if (rc.a_reachable().test(is)) return std::nullopt;
         cert.kind = ViolationKind::kUnreachableImage;
-        cert.a_closed = a_reachable_chars();
       }
     } else {
       if (a.is_deadlock(is)) return std::nullopt;
@@ -149,7 +151,6 @@ std::optional<JobCertificate> make_negative(const RefinementChecker& rc, Relatio
       for (StateId u : w) outside |= !rc.a_reachable().test(rc.image(u));
       if (!outside) return std::nullopt;
       cert.kind = ViolationKind::kUnreachableImage;
-      cert.a_closed = a_reachable_chars();
     }
     return cert;
   }
@@ -160,12 +161,10 @@ std::optional<JobCertificate> make_negative(const RefinementChecker& rc, Relatio
   const StateId iu = rc.image(u), iv = rc.image(v);
   if (iu == iv || a.has_edge(iu, iv)) return std::nullopt;
   if (r == Relation::kConvergence) {
-    // Distinguish the global Invalid-edge violation (needs a separating
-    // set) from the init-scoped Compressed-edge one (needs rooting).
-    util::DenseBitset from_iu = reachable_from(a, {iu});
-    if (!from_iu.test(iv)) {
+    // Distinguish the global Invalid-edge violation from the
+    // init-scoped Compressed-edge one (needs rooting).
+    if (!reachable_from(a, {iu}).test(iv)) {
       cert.kind = ViolationKind::kInvalidEdge;
-      cert.a_closed = to_chars(from_iu);
       return cert;
     }
   }
@@ -187,151 +186,104 @@ struct Ctx {
   StateId img(StateId s) const { return alpha.empty() ? s : alpha[s]; }
 };
 
-CheckResult validate_everywhere_edges(const Ctx& x, const std::vector<std::uint64_t>& sigma) {
-  for (StateId s = 0; s < x.cn; ++s) {
-    const StateId is = x.img(s);
-    for (StateId t : x.c.successors(s)) {
-      const StateId it = x.img(t);
-      if (is == it) {
-        if (!x.a.is_deadlock(is) && sigma[t] >= sigma[s])
-          return CheckResult::fail("certificate: stutter edge does not decrease sigma",
-                                   Trace{{s, t}});
-      } else if (!x.a.has_edge(is, it)) {
-        return CheckResult::fail("certificate: edge is neither exact nor stutter",
-                                 Trace{{s, t}});
-      }
+/// Membership of the A-states reachable from `roots`, roots included:
+/// the validator's own search of T_A, so no reachability claim is ever
+/// read from an entry.
+std::vector<char> a_reach(const Ctx& x, const std::vector<StateId>& roots) {
+  std::vector<char> seen(x.an, 0);
+  std::vector<StateId> work;
+  for (StateId r : roots)
+    if (r < x.an && !seen[r]) {
+      seen[r] = 1;
+      work.push_back(r);
     }
-    if (x.c.is_deadlock(s) && !x.a.is_deadlock(is))
-      return CheckResult::fail("certificate: C deadlock image is not an A deadlock",
-                               Trace{{s}});
+  while (!work.empty()) {
+    const StateId u = work.back();
+    work.pop_back();
+    for (StateId v : x.a.successors(u))
+      if (!seen[v]) {
+        seen[v] = 1;
+        work.push_back(v);
+      }
   }
-  return CheckResult::ok();
+  return seen;
 }
 
-/// The init-scoped component shared by refinement_init, convergence and
-/// eventually: `c_region` must contain I_C, be closed under T_C, and
-/// every member edge must be Exact or Stutter (with sigma progress at
-/// non-deadlock images); member deadlocks must map to A-deadlocks.
-CheckResult validate_init_region(const Ctx& x, const JobCertificate& cert) {
-  if (x.c_init.empty()) return CheckResult::ok();  // vacuous: no computations from I_C
-  if (cert.c_region.size() != x.cn)
-    return CheckResult::fail("certificate: region size does not match C");
+bool is_a_path(const Ctx& x, const std::vector<StateId>& path, StateId from, StateId to) {
+  if (path.size() < 2 || path.front() != from || path.back() != to) return false;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    if (path[i] >= x.an || !x.a.has_edge(path[i], path[i + 1])) return false;
+  return true;
+}
+
+/// The one positive validator: a single pass over C's edges applies
+/// the four rules of certify.hpp to whichever components `r` carries.
+/// Instantiated per relation so the loop carries no relation tests.
+template <Relation r>
+CheckResult validate_positive(const Ctx& x, const JobCertificate& cert) {
+  constexpr bool ranked = has_rho(r);
+  constexpr bool scoped = init_scoped(r);
+  constexpr bool stab = r == Relation::kStabilizing;
   if (cert.sigma.size() != x.cn)
     return CheckResult::fail("certificate: sigma size does not match C");
-  for (StateId i : x.c_init)
-    if (!cert.c_region[i])
-      return CheckResult::fail("certificate: region omits an initial state", Trace{{i}});
+  if (ranked && cert.rho.size() != x.cn)
+    return CheckResult::fail("certificate: rho size does not match C");
+  if (scoped) {
+    if (cert.c_region.size() != x.cn)
+      return CheckResult::fail("certificate: region size does not match C");
+    for (StateId i : x.c_init)
+      if (!cert.c_region[i])
+        return CheckResult::fail("certificate: region omits an initial state", Trace{{i}});
+  }
+  std::vector<char> ra;  // R_A, stabilizing only
+  if (stab) {
+    if (x.a_init.empty())
+      return CheckResult::fail("certificate: stabilizing claim with empty I_A");
+    ra = a_reach(x, x.a_init);
+  }
+
+  std::size_t next_path = 0;  // convergence: the k-th edge off A owns path k
   for (StateId s = 0; s < x.cn; ++s) {
-    if (!cert.c_region[s]) continue;
-    const StateId is = x.img(s);
+    const bool in_region = scoped && cert.c_region[s];
+    if (r == Relation::kRefinementInit && !in_region) continue;
+    const StateId u = x.img(s);
     for (StateId t : x.c.successors(s)) {
-      if (!cert.c_region[t])
-        return CheckResult::fail("certificate: region is not closed under T_C",
-                                 Trace{{s, t}});
-      const StateId it = x.img(t);
-      if (is == it) {
-        if (!x.a.is_deadlock(is) && cert.sigma[t] >= cert.sigma[s])
-          return CheckResult::fail(
-              "certificate: region stutter edge does not decrease sigma", Trace{{s, t}});
-      } else if (!x.a.has_edge(is, it)) {
-        return CheckResult::fail("certificate: region edge is neither exact nor stutter",
-                                 Trace{{s, t}});
+      const StateId v = x.img(t);
+      // has_edge is the costly test, so "follows A" is decided only
+      // where a rule asks.
+      auto follows = [&] {
+        return (!stab || (ra[u] && ra[v])) && (u == v || x.a.has_edge(u, v));
+      };
+      const char* why = nullptr;
+      if (in_region && !cert.c_region[t]) {  // rule 2
+        why = "certificate: region is not closed under T_C";
+      } else if (ranked && cert.rho[t] > cert.rho[s]) {  // rule 1
+        why = "certificate: edge increases rho";
+      } else if (ranked && !in_region && cert.rho[t] < cert.rho[s]) {
+        // Off every cycle the edge need not follow A, but convergence
+        // still owes the A-path that makes it Compressed.
+        if (r == Relation::kConvergence && !follows()) {
+          const JobCertificate::APath* p =
+              next_path < cert.compressed.size() ? &cert.compressed[next_path++] : nullptr;
+          if (!p || p->s != s || p->t != t || !is_a_path(x, p->path, u, v))
+            why = "certificate: compressed edge lacks its A-path";
+        }
+      } else if (!follows()) {  // rules 1 and 2
+        why = ranked && !in_region ? "certificate: edge off A does not decrease rho"
+                                   : "certificate: edge does not follow A";
       }
+      if (!why && u == v && !x.a.is_deadlock(u) && cert.sigma[t] >= cert.sigma[s])  // rule 3
+        why = "certificate: stutter edge does not decrease sigma";
+      if (why) return CheckResult::fail(why, Trace{{s, t}});
     }
-    if (x.c.is_deadlock(s) && !x.a.is_deadlock(is))
-      return CheckResult::fail(
-          "certificate: region C deadlock image is not an A deadlock", Trace{{s}});
+    if (x.c.is_deadlock(s) && !x.a.is_deadlock(u))  // rule 4
+      return CheckResult::fail("certificate: C deadlock image is not an A deadlock",
+                               Trace{{s}});
+    if (stab && x.c.is_deadlock(s) && !ra[u])
+      return CheckResult::fail("certificate: C deadlock image is not reachable in A",
+                               Trace{{s}});
   }
   return CheckResult::ok();
-}
-
-CheckResult validate_convergence(const Ctx& x, const JobCertificate& cert) {
-  if (cert.rho.size() != x.cn || cert.sigma.size() != x.cn)
-    return CheckResult::fail("certificate: rho/sigma size does not match C");
-  std::map<std::pair<StateId, StateId>, const JobCertificate::APath*> by_edge;
-  for (const auto& p : cert.compressed) by_edge[{p.s, p.t}] = &p;
-  for (StateId s = 0; s < x.cn; ++s) {
-    const StateId is = x.img(s);
-    for (StateId t : x.c.successors(s)) {
-      const StateId it = x.img(t);
-      if (cert.rho[t] > cert.rho[s])
-        return CheckResult::fail("certificate: edge increases rho", Trace{{s, t}});
-      if (is == it) {
-        if (!x.a.is_deadlock(is) && cert.sigma[t] >= cert.sigma[s])
-          return CheckResult::fail("certificate: stutter edge does not decrease sigma",
-                                   Trace{{s, t}});
-      } else if (!x.a.has_edge(is, it)) {
-        // Must be Compressed (A-path witness) and off every cycle
-        // (strict rho decrease; cycles have constant rho).
-        if (cert.rho[t] >= cert.rho[s])
-          return CheckResult::fail(
-              "certificate: compressed edge does not strictly decrease rho", Trace{{s, t}});
-        auto found = by_edge.find({s, t});
-        if (found == by_edge.end())
-          return CheckResult::fail("certificate: compressed edge lacks its A-path witness",
-                                   Trace{{s, t}});
-        const auto& path = found->second->path;
-        if (path.size() < 2 || path.front() != is || path.back() != it)
-          return CheckResult::fail("certificate: compressed-edge A-path has wrong endpoints",
-                                   Trace{{s, t}});
-        for (std::size_t i = 0; i + 1 < path.size(); ++i)
-          if (path[i] >= x.an || !x.a.has_edge(path[i], path[i + 1]))
-            return CheckResult::fail("certificate: compressed-edge A-path is not a path of A",
-                                     Trace{{s, t}});
-      }
-    }
-    if (x.c.is_deadlock(s) && !x.a.is_deadlock(is))
-      return CheckResult::fail("certificate: C deadlock image is not an A deadlock",
-                               Trace{{s}});
-  }
-  return validate_init_region(x, cert);
-}
-
-CheckResult validate_eventually(const Ctx& x, const JobCertificate& cert) {
-  if (cert.rho.size() != x.cn || cert.sigma.size() != x.cn)
-    return CheckResult::fail("certificate: rho/sigma size does not match C");
-  for (StateId s = 0; s < x.cn; ++s) {
-    const StateId is = x.img(s);
-    for (StateId t : x.c.successors(s)) {
-      const StateId it = x.img(t);
-      if (cert.rho[t] > cert.rho[s])
-        return CheckResult::fail("certificate: edge increases rho", Trace{{s, t}});
-      if (is == it) {
-        if (!x.a.is_deadlock(is) && cert.sigma[t] >= cert.sigma[s])
-          return CheckResult::fail("certificate: stutter edge does not decrease sigma",
-                                   Trace{{s, t}});
-      } else if (cert.rho[t] == cert.rho[s] && !x.a.has_edge(is, it)) {
-        // rho-equal over-approximates "on a cycle": such edges must be
-        // Exact (or Stutter, handled above).
-        return CheckResult::fail("certificate: rho-equal edge is neither exact nor stutter",
-                                 Trace{{s, t}});
-      }
-    }
-    if (x.c.is_deadlock(s) && !x.a.is_deadlock(is))
-      return CheckResult::fail("certificate: C deadlock image is not an A deadlock",
-                               Trace{{s}});
-  }
-  return validate_init_region(x, cert);
-}
-
-CheckResult validate_positive(const Ctx& x, Relation r, const JobCertificate& cert) {
-  switch (r) {
-    case Relation::kEverywhere:
-      if (cert.sigma.size() != x.cn)
-        return CheckResult::fail("certificate: sigma size does not match C");
-      return validate_everywhere_edges(x, cert.sigma);
-    case Relation::kRefinementInit:
-      return validate_init_region(x, cert);
-    case Relation::kConvergence:
-      return validate_convergence(x, cert);
-    case Relation::kEventually:
-      return validate_eventually(x, cert);
-    case Relation::kStabilizing:
-      if (x.a_init.empty())
-        return CheckResult::fail("certificate: stabilizing claim with empty I_A");
-      return validate_certificate(x.c, x.a, x.a_init, x.alpha, cert.stab);
-  }
-  return CheckResult::fail("certificate: unknown relation");
 }
 
 bool is_c_path(const Ctx& x, const std::vector<StateId>& states) {
@@ -356,22 +308,6 @@ CheckResult check_rooted(const Ctx& x, const std::vector<StateId>& w,
   if (cert.init_path.empty() || !is_c_path(x, cert.init_path) ||
       !in_c_init(x, cert.init_path.front()) || cert.init_path.back() != w.front())
     return CheckResult::fail("certificate: witness is not rooted at an initial state of C");
-  return CheckResult::ok();
-}
-
-/// `set` must be closed under T_A; anchor membership is checked by the
-/// caller (I_A for unreachable-image claims, the source image for
-/// invalid-edge claims).
-CheckResult check_a_closed(const Ctx& x, const std::vector<char>& set) {
-  if (set.size() != x.an)
-    return CheckResult::fail("certificate: separating set size does not match A");
-  for (StateId u = 0; u < x.an; ++u) {
-    if (!set[u]) continue;
-    for (StateId v : x.a.successors(u))
-      if (!set[v])
-        return CheckResult::fail("certificate: separating set is not closed under T_A",
-                                 Trace{{u, v}});
-  }
   return CheckResult::ok();
 }
 
@@ -443,9 +379,8 @@ CheckResult validate_negative(const Ctx& x, Relation r, const Trace& witness,
       const StateId iu = x.img(w[w.size() - 2]), iv = x.img(w.back());
       if (iu == iv)
         return CheckResult::fail("certificate: invalid-edge endpoints stutter");
-      if (auto cr = check_a_closed(x, cert.a_closed); !cr.holds) return cr;
-      if (!cert.a_closed[iu] || cert.a_closed[iv])
-        return CheckResult::fail("certificate: separating set does not separate the images");
+      if (a_reach(x, {iu})[iv])
+        return CheckResult::fail("certificate: target image is reachable in A after all");
       if (r == Relation::kRefinementInit || r == Relation::kEventually)
         return check_rooted(x, w, cert);
       return CheckResult::ok();
@@ -454,22 +389,19 @@ CheckResult validate_negative(const Ctx& x, Relation r, const Trace& witness,
       if (r != Relation::kStabilizing)
         return CheckResult::fail(
             "certificate: unreachable-image evidence only refutes stabilization");
-      if (auto cr = check_a_closed(x, cert.a_closed); !cr.holds) return cr;
-      for (StateId i : x.a_init)
-        if (!cert.a_closed[i])
-          return CheckResult::fail("certificate: separating set omits an initial state of A");
+      const std::vector<char> ra = a_reach(x, x.a_init);
       if (w.size() == 1) {
         if (!x.c.is_deadlock(w[0]))
           return CheckResult::fail("certificate: single-state evidence is not a C deadlock");
-        if (cert.a_closed[x.img(w[0])])
-          return CheckResult::fail("certificate: deadlock image is inside the separating set");
+        if (ra[x.img(w[0])])
+          return CheckResult::fail("certificate: deadlock image is reachable in A");
         return CheckResult::ok();
       }
       if (!cycle)
         return CheckResult::fail("certificate: unreachable-image evidence is not a cycle");
       for (StateId u : w)
-        if (!cert.a_closed[x.img(u)]) return CheckResult::ok();
-      return CheckResult::fail("certificate: every cycle image is inside the separating set");
+        if (!ra[x.img(u)]) return CheckResult::ok();
+      return CheckResult::fail("certificate: every cycle image is reachable in A");
     }
     case ViolationKind::kNoAInit:
       break;  // handled above
@@ -527,7 +459,20 @@ CheckResult validate_job_certificate(Relation r, bool claimed_holds, const Trace
     return CheckResult::fail("certificate: alpha table size mismatch");
   if (cert.positive != claimed_holds)
     return CheckResult::fail("certificate: polarity does not match the stored verdict");
-  return claimed_holds ? validate_positive(x, r, cert) : validate_negative(x, r, witness, cert);
+  if (!claimed_holds) return validate_negative(x, r, witness, cert);
+  switch (r) {
+    case Relation::kRefinementInit:
+      return validate_positive<Relation::kRefinementInit>(x, cert);
+    case Relation::kEverywhere:
+      return validate_positive<Relation::kEverywhere>(x, cert);
+    case Relation::kConvergence:
+      return validate_positive<Relation::kConvergence>(x, cert);
+    case Relation::kEventually:
+      return validate_positive<Relation::kEventually>(x, cert);
+    case Relation::kStabilizing:
+      return validate_positive<Relation::kStabilizing>(x, cert);
+  }
+  return CheckResult::fail("certificate: unknown relation");
 }
 
 }  // namespace cref::service

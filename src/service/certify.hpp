@@ -7,29 +7,50 @@
 // corrupted, stale, or even key-colliding entry can only cause a
 // recompute, never a wrong answer.
 //
-// Positive certificates reduce each relation to per-edge rank
-// conditions in the style of StabilizationCertificate (DESIGN.md §7):
+// A positive certificate is at most four components, each indexed by
+// C-state: `sigma` (always), `rho` (convergence, eventually,
+// stabilizing), `region` (the three init-scoped relations) and one
+// A-path per compressed edge (convergence). The validator checks them
+// in ONE pass over C's edges. Write u, v for the images of an edge
+// s -> t; the edge FOLLOWS A when u == v or (u, v) is in T_A, and for
+// stabilizing also u, v are in R_A = reachable(A, I_A), which the
+// validator computes itself. The rules:
 //
-//   sigma  strictly decreases along stutter edges whose image is not an
-//          A-deadlock — no computation's image can stall forever at a
-//          non-final state of A (all four refinement relations).
-//   rho    is non-increasing along EVERY edge and strictly decreasing
-//          along the edges a cycle must avoid — which makes "rho-equal"
-//          a sound over-approximation of "on a cycle" (convergence:
-//          compressed/invalid edges strictly decrease; eventually:
-//          rho-equal edges must be Exact/Stutter).
-//   region a claimed superset of reachable(I_C), checked closed under
-//          T_C, on which the init-scoped conditions are enforced.
-//   compressed  per compressed edge of a convergence certificate, the
-//          dropped A-path proving the edge is Compressed, not Invalid.
+//   1. With rho, every edge has rho(t) <= rho(s), and one that does not
+//      follow A has rho(t) < rho(s) (convergence: and its A-path).
+//      Without rho, every edge follows A.
+//   2. From a region state, t is in the region and the edge follows A;
+//      refinement-init checks nothing outside its region.
+//   3. A stutter edge whose image is not an A-deadlock has
+//      sigma(t) < sigma(s).
+//   4. A deadlock of C maps to a deadlock of A (stabilizing: in R_A).
+//
+// Why each accepted certificate is sound:
+//
+//   everywhere      every edge follows A, sigma strictly decreases on
+//                   each stutter edge at a non-deadlock image, and C's
+//                   deadlocks map to A's: every computation's image is a
+//                   computation of A, up to finitely many stutters.
+//   refinement-init the same, checked only inside `region`, which holds
+//                   I_C and is closed under T_C, so it holds every state
+//                   a computation from I_C can visit.
+//   convergence     the region conditions, plus: rho never increases
+//                   and strictly decreases on every edge that does not
+//                   follow A, so no cycle holds such an edge; the stored
+//                   A-path makes each one Compressed, not Invalid.
+//   eventually      as convergence without the A-paths: cycles follow A,
+//                   off-cycle edges are unconstrained.
+//   stabilizing     rho as above, with R_A in "follows": every cycle
+//                   runs inside R_A along A, stutters cannot stall at a
+//                   non-final image, and deadlocks map to reachable A
+//                   deadlocks, so every computation ends in a suffix of
+//                   one of A.
 //
 // Negative certificates are replayable evidence: the stored witness is
-// re-walked edge by edge through T_C, a locally-checkable violation
-// condition is re-established on it (ViolationKind), and claims of
-// NON-reachability in A ("image not reachable") are proved by an
-// A-side closed separating set — contains the anchor states, closed
-// under T_A, excludes the claimed-unreachable image — validated in one
-// O(E_A) pass.
+// re-walked edge by edge through T_C and a locally-checkable violation
+// condition is re-established on it (ViolationKind). Claims of
+// NON-reachability in A are re-decided by the validator's own search
+// of T_A, from I_A or from the source image.
 //
 // Validators use only graph primitives (successors, has_edge,
 // is_deadlock) and share no analysis code with the engine.
@@ -40,7 +61,6 @@
 #include <vector>
 
 #include "core/graph.hpp"
-#include "refinement/certificate.hpp"
 #include "refinement/check_result.hpp"
 #include "service/relation.hpp"
 
@@ -57,11 +77,10 @@ enum class ViolationKind : std::uint8_t {
   kBadEdge,           // path witness: last edge has differing images not in T_A
   kBadCycle,          // cycle witness containing an edge with differing images not in T_A
   kStutterCycle,      // pure-stutter cycle whose image is not an A-deadlock
-  kInvalidEdge,       // path witness: last edge's target image separated from the
-                      // source image by `a_closed` (anchored at the source image)
+  kInvalidEdge,       // path witness: last edge's target image not reachable in A
+                      // from its source image
   kNoAInit,           // stabilizing: A has no initial states
-  kUnreachableImage,  // stabilizing: cycle/deadlock witness with an image outside
-                      // `a_closed` (anchored at I_A)
+  kUnreachableImage,  // stabilizing: cycle/deadlock witness with an image outside R_A
 };
 
 const char* to_string(ViolationKind k);
@@ -74,21 +93,19 @@ struct JobCertificate {
   bool positive = true;
 
   // Positive components.
-  std::vector<std::uint64_t> rho;    // convergence / eventually
-  std::vector<std::uint64_t> sigma;  // the four refinement relations
+  std::vector<std::uint64_t> rho;    // convergence / eventually / stabilizing
+  std::vector<std::uint64_t> sigma;  // every relation
   std::vector<char> c_region;        // init-scoped relations: superset of reachable(I_C)
   struct APath {
     StateId s = 0, t = 0;         // the compressed concrete edge
     std::vector<StateId> path;    // A-path image(s) -> image(t), length >= 1
   };
-  std::vector<APath> compressed;     // convergence
-  StabilizationCertificate stab;     // stabilizing
+  std::vector<APath> compressed;     // convergence, in C's edge order
 
   // Negative components (the witness itself lives in the cached
   // CheckResult and is passed to the validator alongside).
   ViolationKind kind = ViolationKind::kDeadlock;
   std::vector<StateId> init_path;    // C-path from I_C to the witness (init-scoped evidence)
-  std::vector<char> a_closed;        // A-side closed separating set
 
   // Static refinement certificate (GCL convergence jobs proved by the
   // static prover, src/prover/refine.hpp): the serialized
@@ -108,7 +125,8 @@ struct CertifyOptions {
 /// Builds the certificate for `result` == run_relation(rc, r). Returns
 /// nullopt when the instance is not certifiable (witness shape outside
 /// the evidence vocabulary, or over the compressed-witness cap) — never
-/// a wrong certificate.
+/// a wrong certificate. A positive stabilizing certificate reads only
+/// rho and sigma, so `rc` may generate C; the rest need its CSR.
 std::optional<JobCertificate> make_job_certificate(const RefinementChecker& rc, Relation r,
                                                    const CheckResult& result,
                                                    const CertifyOptions& opts = {});
@@ -118,7 +136,8 @@ std::optional<JobCertificate> make_job_certificate(const RefinementChecker& rc, 
 /// the certificate establishes the verdict; any failure names the
 /// broken condition. Accepting is SOUND: a validated positive implies
 /// the relation holds, a validated negative implies it fails with the
-/// given witness.
+/// given witness. `alpha` (empty = identity) must map C's states into
+/// A's: it comes from the request, never from the entry.
 CheckResult validate_job_certificate(Relation r, bool claimed_holds, const Trace& witness,
                                      const JobCertificate& cert, const TransitionGraph& c,
                                      const TransitionGraph& a,

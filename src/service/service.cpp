@@ -126,7 +126,10 @@ JobOutcome CheckService::run_with(const Job& job, const EngineOptions& engine) {
         std::optional<prover::RefinementCertificate> cert =
             prover::parse_refinement_certificate(cached->certificate->refine,
                                                  *job.c_ast);
-        if (cert) {
+        // The budget sizes every enumeration of the validator, so a
+        // stored one other than the service's own is a failure, not a
+        // bill the entry may run up.
+        if (cert && cert->budget == prover::RefineOptions{}.budget) {
           gcl::AlphaSpec alpha = gcl::identity_alpha(*job.c_ast, *job.a_ast);
           ok = prover::validate_refinement_certificate(*job.c_ast, *job.a_ast, alpha,
                                                        *cert, nullptr);

@@ -49,12 +49,6 @@ struct EnvironmentSpec {
   double restart_rate = 0.0;
   std::size_t max_crashed = 0;  // 0 = crashes never happen
 
-  /// True if any mid-run mechanism is active (the environment-aware
-  /// runner can take the plain fast path otherwise).
-  bool has_midrun_faults() const {
-    return corruption_rate > 0.0 || (crash_rate > 0.0 && max_crashed > 0);
-  }
-
   // Named constructors for the standard matrix axes.
   static EnvironmentSpec pristine();
   static EnvironmentSpec scramble();
@@ -79,7 +73,6 @@ class Environment {
   Environment(EnvironmentSpec spec, const System& sys, std::uint64_t seed);
 
   const EnvironmentSpec& spec() const { return spec_; }
-  std::size_t process_count() const { return crashed_.size(); }
 
   /// Applies the one-shot start perturbation (scramble, then burst) to
   /// `s`. Call exactly once, before the first legitimacy check.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "gcl/alpha.hpp"
@@ -370,6 +371,33 @@ TEST(RefineTamper, StructuralNonsenseIsRejected) {
   ASSERT_EQ(bad.action_class[0], ActionClass::Enumerated);
   bad.stutter_ranked_at[0] = 0;
   EXPECT_TRUE(rejected(p, bad));
+}
+
+// A count read from a cache file sizes nothing: each vector grows from
+// the numbers actually on the line, so a claimed 10^12 entries is a
+// parse failure, not a terabyte allocation (or std::bad_alloc).
+TEST(RefineTamper, HugeCountsAreParseFailuresNotAllocations) {
+  const Proved p = proved_kstate();
+  const std::string text = serialize_refinement_certificate(p.cert);
+  ASSERT_TRUE(parse_refinement_certificate(text, p.c).has_value());
+  // Replaces field `field` (0 = the keyword) of the first `keyword` line.
+  auto with_count = [&](const std::string& keyword, std::size_t field) {
+    std::string out = text;
+    const std::size_t line = out.find("\n" + keyword + " ");
+    EXPECT_NE(line, std::string::npos) << keyword;
+    if (line == std::string::npos) return out;
+    std::size_t begin = line + 1;
+    for (std::size_t i = 0; i < field; ++i) begin = out.find(' ', begin) + 1;
+    const std::size_t end = out.find_first_of(" \n", begin);
+    return out.replace(begin, end - begin, "1000000000000");
+  };
+  const std::string support = text.substr(0, text.find("\nsupports ")) +
+                              "\nsupports 1\nsupport 1000000000000 0\nend\n";
+  for (const std::string& bad : {with_count("action", 4), with_count("row", 2), support}) {
+    std::optional<RefinementCertificate> parsed;
+    EXPECT_NO_THROW(parsed = parse_refinement_certificate(bad, p.c));
+    EXPECT_FALSE(parsed.has_value());
+  }
 }
 
 // --- scenario 12: forged classification ------------------------------

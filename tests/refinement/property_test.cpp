@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "refinement/certificate.hpp"
 #include "refinement/checker.hpp"
 #include "refinement/random_systems.hpp"
+#include "service/certify.hpp"
 
 namespace cref {
 namespace {
@@ -185,10 +185,13 @@ TEST_P(MetaTheoremTest, CertificateRoundTripOnRandomSystems) {
   // must produce a certificate the independent validator accepts.
   Instance inst = draw(GetParam());
   RefinementChecker cb(inst.c, inst.b, inst.init, inst.b_init);
-  if (!cb.stabilizing_to().holds) return;
-  auto cert = make_certificate(cb);
+  const CheckResult stab = cb.stabilizing_to();
+  if (!stab.holds) return;
+  auto cert = service::make_job_certificate(cb, service::Relation::kStabilizing, stab);
   ASSERT_TRUE(cert.has_value()) << "seed " << GetParam();
-  auto v = validate_certificate(cb.c_graph(), cb.a_graph(), cb.a_initial(), {}, *cert);
+  auto v = service::validate_job_certificate(service::Relation::kStabilizing, true, Trace{},
+                                             *cert, cb.c_graph(), cb.a_graph(), cb.c_initial(),
+                                             cb.a_initial(), {});
   EXPECT_TRUE(v.holds) << "seed " << GetParam() << ": " << v.reason;
 }
 

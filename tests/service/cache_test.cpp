@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 namespace cref::service {
 namespace {
@@ -33,8 +35,7 @@ CacheEntry sample_negative() {
   JobCertificate c;
   c.positive = false;
   c.kind = ViolationKind::kUnreachableImage;
-  c.a_closed = {1, 1, 0};
-  c.stab.a_reachable = {1, 0};  // unused for negatives but must round-trip
+  c.init_path = {3, 5, 7};  // unused by this kind but must round-trip
   e.certificate = std::move(c);
   return e;
 }
@@ -58,14 +59,8 @@ void expect_equal(const CacheEntry& x, const CacheEntry& y) {
     EXPECT_EQ(a.compressed[i].t, b.compressed[i].t);
     EXPECT_EQ(a.compressed[i].path, b.compressed[i].path);
   }
-  EXPECT_EQ(a.stab.a_reachable, b.stab.a_reachable);
-  EXPECT_EQ(a.stab.a_parent, b.stab.a_parent);
-  EXPECT_EQ(a.stab.a_depth, b.stab.a_depth);
-  EXPECT_EQ(a.stab.rho, b.stab.rho);
-  EXPECT_EQ(a.stab.sigma, b.stab.sigma);
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.init_path, b.init_path);
-  EXPECT_EQ(a.a_closed, b.a_closed);
 }
 
 TEST(CacheSerializationTest, RoundTripsBothPolarities) {
@@ -87,7 +82,10 @@ TEST(CacheSerializationTest, StrictParserRejectsMalformedText) {
   EXPECT_TRUE(parse_entry(good).has_value());
 
   EXPECT_FALSE(parse_entry("").has_value());
-  EXPECT_FALSE(parse_entry("cref-cache 2\n").has_value());  // unknown version
+  EXPECT_EQ(good.rfind("cref-cache 3\n", 0), 0u);
+  std::string old_version = good;
+  old_version.replace(0, 12, "cref-cache 2");
+  EXPECT_FALSE(parse_entry(old_version).has_value());  // older versions are misses
   // Truncation: every strict prefix (cut at line boundaries) must fail.
   for (std::size_t pos = good.find('\n'); pos != std::string::npos && pos + 1 < good.size();
        pos = good.find('\n', pos + 1))
@@ -145,6 +143,33 @@ TEST(CacheDiskTest, PersistsAcrossInstancesAndRejectsTamperedFiles) {
   std::ofstream(file, std::ios::trunc) << "cref-cache 1\ngarbage\n";
   VerdictCache fresh2(4, dir);
   EXPECT_FALSE(fresh2.lookup(key).has_value());
+}
+
+TEST(CacheDiskTest, DiskHitLeavesTheFileUntouched) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "cref-cache-disk-hit").string();
+  std::filesystem::remove_all(dir);
+  const Digest key = hash_u64(7);
+  {
+    VerdictCache cache(4, dir);
+    cache.store(key, sample_positive());
+  }
+  const auto file = std::filesystem::path(dir) / (key.hex() + ".entry");
+  auto read_file = [&] {
+    std::ostringstream text;
+    text << std::ifstream(file, std::ios::binary).rdbuf();
+    return text.str();
+  };
+  const std::string bytes = read_file();
+  const auto aged = std::filesystem::last_write_time(file) - std::chrono::hours(24 * 365);
+  std::filesystem::last_write_time(file, aged);
+
+  VerdictCache fresh(4, dir);
+  ASSERT_TRUE(fresh.lookup(key).has_value());  // disk hit, promoted to memory
+  ASSERT_TRUE(fresh.lookup(key).has_value());  // memory hit
+  EXPECT_EQ(std::filesystem::last_write_time(file), aged);
+  EXPECT_EQ(read_file(), bytes);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

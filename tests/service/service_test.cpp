@@ -159,9 +159,9 @@ TEST(ServiceBatchTest, TamperedCertificatePayloadIsRejected) {
   std::ostringstream text;
   text << std::ifstream(file).rdbuf();
   std::string tampered = text.str();
-  const std::size_t at = tampered.find("stab-rho 4 ");
+  const std::size_t at = tampered.find("\nrho 4 ");
   ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, tampered.find('\n', at) - at, "stab-rho 4 0 0 0 0");
+  tampered.replace(at + 1, tampered.find('\n', at + 1) - at - 1, "rho 4 0 0 0 0");
   std::ofstream(file, std::ios::trunc) << tampered;
 
   CheckService fresh(o);

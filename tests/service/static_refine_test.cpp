@@ -12,7 +12,7 @@
 // The static-first path for GCL convergence jobs: a refinement proved
 // from the ASTs alone is served — and its warm hits revalidated — with
 // NO graph ever built (build_ms stays 0). The cached entry carries the
-// serialized RefinementCertificate ("cref-cache 2" refine blob), so a
+// serialized RefinementCertificate ("cref-cache 3" refine blob), so a
 // fresh service instance sharing only the on-disk store revalidates
 // statically too, and a tampered blob falls back to an honest check.
 
@@ -79,12 +79,12 @@ TEST(ServiceStaticRefine, RefineBlobRoundTripsThroughTheDiskStore) {
     CheckService svc(o);
     honest = svc.run(job).result;
   }
-  // The on-disk entry is a version-2 document with the refine blob.
+  // The on-disk entry is a version-3 document with the refine blob.
   const auto file = std::filesystem::path(o.cache_dir) / (job.key.hex() + ".entry");
   ASSERT_TRUE(std::filesystem::exists(file));
   std::ostringstream text;
   text << std::ifstream(file).rdbuf();
-  EXPECT_NE(text.str().find("cref-cache 2"), std::string::npos);
+  EXPECT_NE(text.str().find("cref-cache 3"), std::string::npos);
   EXPECT_NE(text.str().find("refine "), std::string::npos);
   EXPECT_NE(text.str().find("refine-cert 1"), std::string::npos);
   // A fresh instance sharing only the store serves it statically.
@@ -122,6 +122,36 @@ TEST(ServiceStaticRefine, TamperedRefineBlobFallsBackToAnHonestCheck) {
   EXPECT_FALSE(out.cache_hit);
   EXPECT_EQ(out.result.holds, honest.holds);
   EXPECT_GE(fresh.stats().validation_failures, 1u);
+}
+
+TEST(ServiceStaticRefine, ForeignBudgetIsAValidationFailure) {
+  // The stored budget sizes the validator's enumerations, so an entry
+  // may not choose it: any budget but the service's own is a validation
+  // failure, and the recompute serves the same answer bytes.
+  ServiceOptions o;
+  o.cache_dir = temp_dir("cref-static-refine-budget");
+  const Job job = convergence_job();
+  CheckResult honest;
+  {
+    CheckService svc(o);
+    honest = svc.run(job).result;
+  }
+  const auto file = std::filesystem::path(o.cache_dir) / (job.key.hex() + ".entry");
+  std::ostringstream text;
+  text << std::ifstream(file).rdbuf();
+  std::string tampered = text.str();
+  const std::size_t at = tampered.find("\nbudget ");
+  ASSERT_NE(at, std::string::npos) << tampered;
+  tampered.replace(at + 1, tampered.find('\n', at + 1) - at - 1, "budget 1000000000");
+  std::ofstream(file, std::ios::trunc) << tampered;
+
+  CheckService fresh(o);
+  const JobOutcome out = fresh.run(job);
+  EXPECT_FALSE(out.cache_hit);
+  EXPECT_EQ(fresh.stats().validation_failures, 1u);
+  EXPECT_EQ(out.result.holds, honest.holds);
+  EXPECT_EQ(out.result.reason, honest.reason);
+  EXPECT_EQ(out.result.witness.states, honest.witness.states);
 }
 
 TEST(ServiceStaticRefine, DisablingStaticRefineForcesTheGraphPath) {
