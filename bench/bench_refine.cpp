@@ -175,10 +175,10 @@ struct Row {
   std::string family;
   std::string config;
   std::size_t c_states = 0;
-  std::string verdict;      // proved / refuted / unknown
-  std::string expect;       // the verdict the family must produce
+  std::string verdict{};    // proved / refuted / unknown
+  std::string expect{};     // the verdict the family must produce
   bool validated = false;   // certificate survived the independent validator
-  std::string mode;         // A (replay) / B (symbolic) / -
+  std::string mode{};       // A (replay) / B (symbolic) / -
   bool sound = true;        // no decided-vs-explicit disagreement
   double static_ms = 0.0;   // synthesis + validation
   double generated_ms = 0.0; // engine over a generated C (0 = not run)

@@ -41,18 +41,11 @@ std::optional<ClosureViolation> find_exact_violation(const gcl::SystemAst& ast,
                                                      const std::vector<int>& cards) {
   std::optional<ClosureViolation> found;
   StateVec s, post;
-  std::vector<std::int64_t> values;
   gcl::for_each_valuation(gcl::all_vars(cards.size()), cards, s, [&](const StateVec& sv) {
     if (gcl::eval(*ast.init, sv) == 0) return true;
     for (const auto& a : ast.actions) {
       if (gcl::eval(a.guard, sv) == 0) continue;
-      post = sv;
-      values.clear();
-      for (const auto& asg : a.assignments) values.push_back(gcl::eval(asg.value, sv));
-      for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-        std::size_t tgt = a.assignments[i].var_index;
-        post[tgt] = static_cast<Value>(gcl::eval_mod(values[i], cards[tgt]));
-      }
+      gcl::step(a, cards, sv, post);
       if (post == sv) continue;  // no-op executions are not transitions
       if (gcl::eval(*ast.init, post) == 0) {
         found = ClosureViolation{a.name, sv, post};

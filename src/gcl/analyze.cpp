@@ -410,20 +410,10 @@ std::vector<Diagnostic> check_actions(const SystemAst& ast, const AnalyzeOptions
     bool any_enabled = false, all_identity = true;
     std::string re_witness;
     StateVec post;
-    std::vector<std::int64_t> values;
     for_each_valuation(vars, cards, s, [&](const StateVec& st) {
       if (eval(a.guard, st) == 0) return true;
       any_enabled = true;
-      // Apply the multiple assignment against the old state, with the
-      // compiler's modular reduction into each target's domain.
-      values.clear();
-      for (const AssignmentAst& asg : a.assignments)
-        values.push_back(eval(asg.value, st));
-      post = st;
-      for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-        std::size_t tgt = a.assignments[i].var_index;
-        post[tgt] = static_cast<Value>(eval_mod(values[i], cards[tgt]));
-      }
+      step(a, cards, st, post);
       if (post != st) all_identity = false;
       if (re_witness.empty() && eval(a.guard, post) != 0)
         re_witness = format_valuation(ast, st, vars);

@@ -90,6 +90,16 @@ std::size_t valuation_count(const std::vector<std::size_t>& vars,
   return count;
 }
 
+void step(const ActionAst& action, const std::vector<int>& cards, const StateVec& s,
+          StateVec& out) {
+  out = s;
+  for (const AssignmentAst& asg : action.assignments) {
+    if (asg.var_index >= out.size()) continue;
+    out[asg.var_index] =
+        static_cast<Value>(eval_mod(eval(asg.value, s), cards[asg.var_index]));
+  }
+}
+
 std::string format_valuation(const SystemAst& ast, const StateVec& s,
                              const std::vector<std::size_t>& vars) {
   std::string out;

@@ -73,6 +73,14 @@ bool for_each_valuation(const std::vector<std::size_t>& vars,
   }
 }
 
+/// Executes `action` on `s` into `out` (guard NOT checked): every
+/// right-hand side is evaluated against `s`, then written reduced into
+/// its target's domain (Euclidean `eval_mod`), in declaration order, so
+/// a variable assigned twice takes its last value — compile's
+/// guarded-command multiple assignment.
+void step(const ActionAst& action, const std::vector<int>& cards, const StateVec& s,
+          StateVec& out);
+
 /// `name=value, ...` over the listed variables of `s` (diagnostic
 /// witnesses and refutation rows).
 std::string format_valuation(const SystemAst& ast, const StateVec& s,

@@ -158,7 +158,7 @@ bool a_is_deadlock(const AlphaCtx& ctx, const StateVec& as) {
   StateVec post;
   for (const gcl::ActionAst& b : ctx.a.actions) {
     if (gcl::eval(b.guard, as) == 0) continue;
-    apply_action_state(b, ctx.a_cards, as, post);
+    gcl::step(b, ctx.a_cards, as, post);
     if (post != as) return false;
   }
   return true;
@@ -169,16 +169,21 @@ std::ptrdiff_t find_direct_match(const AlphaCtx& ctx, const StateVec& as,
   StateVec post;
   for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
     if (gcl::eval(ctx.a.actions[bi].guard, as) == 0) continue;
-    apply_action_state(ctx.a.actions[bi], ctx.a_cards, as, post);
+    gcl::step(ctx.a.actions[bi], ctx.a_cards, as, post);
     if (post != as && post == at) return static_cast<std::ptrdiff_t>(bi);
   }
   return -1;
 }
 
+namespace {
+
+constexpr std::size_t kMaxANodes = std::size_t{1} << 16;  // abstract BFS cap
+
+}  // namespace
+
 std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
                                                     const StateVec& as,
                                                     const StateVec& at,
-                                                    std::size_t max_nodes,
                                                     bool* exhausted) {
   if (exhausted) *exhausted = true;
   const Packing pack(ctx.a_cards);
@@ -193,13 +198,12 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
 
   StateVec cur, post;
   const std::size_t target = pack.encode(at);
-  std::size_t head = 0;
 
   auto expand = [&](const StateVec& s, std::ptrdiff_t from)
       -> std::optional<std::size_t> {
     for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
       if (gcl::eval(ctx.a.actions[bi].guard, s) == 0) continue;
-      apply_action_state(ctx.a.actions[bi], ctx.a_cards, s, post);
+      gcl::step(ctx.a.actions[bi], ctx.a_cards, s, post);
       if (post == s) continue;
       const std::size_t id = pack.encode(post);
       if (id == target) {
@@ -217,21 +221,14 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
     return std::nullopt;
   };
 
-  if (auto hit = expand(as, -1)) {
-    std::vector<std::size_t> path;
-    for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(*hit); i >= 0; i = parent[i])
-      path.push_back(via[i]);
-    std::reverse(path.begin(), path.end());
-    return path;
-  }
-  while (head < order.size()) {
-    if (order.size() > max_nodes) {
+  // Expands `as` (idx -1), then the queue in visit order.
+  for (std::ptrdiff_t idx = -1; idx < static_cast<std::ptrdiff_t>(order.size()); ++idx) {
+    if (order.size() > kMaxANodes) {
       if (exhausted) *exhausted = false;
       return std::nullopt;
     }
-    const std::size_t idx = head++;
-    pack.decode(order[idx], ctx.a_cards, cur);
-    if (auto hit = expand(cur, static_cast<std::ptrdiff_t>(idx))) {
+    if (idx >= 0) pack.decode(order[idx], ctx.a_cards, cur);
+    if (auto hit = expand(idx < 0 ? as : cur, idx)) {
       std::vector<std::size_t> path;
       for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(*hit); i >= 0; i = parent[i])
         path.push_back(via[i]);

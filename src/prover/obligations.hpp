@@ -97,14 +97,15 @@ std::ptrdiff_t find_direct_match(const AlphaCtx& ctx, const StateVec& as,
                                  const StateVec& at);
 
 /// BFS in A's full state space for a path of length >= 1 from `as` to
-/// `at`, returned as the abstract action index sequence. `exhausted`
+/// `at`, returned as the abstract action index sequence. The search
+/// visits at most 2^16 abstract states — one cap for the prover and
+/// both validator modes, whatever their enumeration budget. `exhausted`
 /// (if non-null) reports whether the search covered everything
-/// reachable from `as` within `max_nodes` — only then does nullopt
-/// prove "no path" (the edge is Invalid, refuting the refinement).
+/// reachable from `as` within the cap — only then does nullopt prove
+/// "no path" (the edge is Invalid, refuting the refinement).
 std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
                                                     const StateVec& as,
                                                     const StateVec& at,
-                                                    std::size_t max_nodes,
                                                     bool* exhausted);
 
 }  // namespace cref::prover

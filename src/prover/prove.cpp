@@ -26,12 +26,43 @@ struct ActionState {
   Expr not_p_post;  // Const 1 for Termination
 };
 
+/// Every action's state, built once by the prover and once by mode B
+/// (`target` null for Termination).
+std::vector<ActionState> action_states(const gcl::SystemAst& ast, const Expr* target) {
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  const Expr not_p = target ? make_unary(Op::Not, *target) : make_const(1);
+  std::vector<ActionState> st;
+  st.reserve(ast.actions.size());
+  for (const gcl::ActionAst& a : ast.actions)
+    st.push_back({a.guard, changed_expr(a, cards), not_p,
+                  target ? post_expr(not_p, a, cards) : make_const(1)});
+  return st;
+}
+
 /// Obligation context for one action: {guard, changed, !P, !P'}.
 /// guard/changed are mandatory; the rest may be dropped (sound
 /// strengthening: prove the decrease on MORE states).
 SymbolicObligation action_context(std::size_t action, const ActionState& st) {
   return {action, {&st.guard, &st.changed, &st.not_p, &st.not_p_post},
           {false, false, true, true}, true};
+}
+
+/// The progress leg of one target conjunct: the first action proved to
+/// fire (guard && changed) wherever `conjunct` fails, with the outcome
+/// that proved it; nullopt when there is none. The prover and mode B
+/// both decide it here.
+std::optional<std::pair<std::size_t, DecideOutcome>> progress_witness(
+    const gcl::SystemAst& ast, const std::vector<ActionState>& st, const Expr& conjunct,
+    const DecideOptions& dopts) {
+  const Expr neg = make_unary(Op::Not, conjunct);
+  const std::vector<const Expr*> ctx = {&neg};
+  const std::vector<bool> drop = {false};
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    const Expr witness = make_binary(Op::And, st[i].guard, st[i].changed);
+    const DecideOutcome r = decide_always(ast, witness, ctx, drop, dopts);
+    if (r.proved) return std::pair{i, r};
+  }
+  return std::nullopt;
 }
 
 /// Closure discharge ladder for one action; appends obligations on
@@ -145,14 +176,10 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   const Expr not_p = target ? make_unary(Op::Not, *target) : make_const(1);
 
   // Per-action contexts + vacuity (no transition with both ends in !P).
-  std::vector<ActionState> st(ast.actions.size());
+  const std::vector<ActionState> st = action_states(ast, target);
   std::vector<SymbolicObligation> owed;
   for (std::size_t i = 0; i < ast.actions.size(); ++i) {
     const gcl::ActionAst& a = ast.actions[i];
-    st[i].guard = a.guard;
-    st[i].changed = changed_expr(a, cards);
-    st[i].not_p = not_p;
-    st[i].not_p_post = target ? post_expr(not_p, a, cards) : make_const(1);
     SymbolicObligation ob = action_context(i, st[i]);
     const DecideOutcome r = decide_unsat(ast, ob.context, ob.droppable, dopts);
     if (r.proved) {
@@ -166,8 +193,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
   }
 
   // Greedy lexicographic synthesis over the template pool.
-  LexSynthesis syn = synthesize_ranking(ast, template_pool(ast, ig, opts.max_pool), owed,
-                                        {}, opts.max_components, dopts);
+  LexSynthesis syn = synthesize_ranking(ast, template_pool(ast, ig), owed, {}, dopts);
   for (const LexSynthesis::Step& step : syn.steps) {
     const std::size_t action = owed[step.obligation].action;
     if (step.strict) cert.ranked_at[action] = step.component;
@@ -201,7 +227,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
         for (std::size_t i : unranked) {
           const gcl::ActionAst& a = ast.actions[i];
           if (!truthy(a.guard, s)) continue;
-          apply_action_state(a, cards, s, scratch);
+          gcl::step(a, cards, s, scratch);
           if (scratch == s) continue;
           if (target && !truthy(not_p, scratch)) continue;
           bool tied = true;
@@ -222,14 +248,9 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
       order.reserve(total);
       for (std::size_t id = 0; id < total; ++id)
         if (indeg[id] == 0) order.push_back(static_cast<std::uint32_t>(id));
-      StateVec decoded(n);
-      auto decode = [&](std::size_t id, StateVec& out) {
-        for (std::size_t i = 0; i < n; ++i)
-          out[i] = static_cast<Value>(id / pack.strides[i] %
-                                      static_cast<std::size_t>(cards[i]));
-      };
+      StateVec decoded;
       for (std::size_t head = 0; head < order.size(); ++head) {
-        decode(order[head], decoded);
+        pack.decode(order[head], cards, decoded);
         residual_succ(decoded, post, [&](std::size_t t) {
           if (--indeg[t] == 0) order.push_back(static_cast<std::uint32_t>(t));
         });
@@ -242,7 +263,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
         std::vector<std::uint32_t> table(total, 0);
         for (std::size_t idx = order.size(); idx-- > 0;) {
           const std::size_t id = order[idx];
-          decode(id, decoded);
+          pack.decode(id, cards, decoded);
           std::uint32_t best = 0;
           residual_succ(decoded, post, [&](std::size_t t) {
             best = std::max(best, table[t] + 1);
@@ -270,23 +291,13 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
     const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
     std::vector<Obligation> progress_obs;
     bool local_ok = true;
-    for (std::size_t ci = 0; ci < p_conjuncts.size(); ++ci) {
-      const Expr neg = make_unary(Op::Not, *p_conjuncts[ci]);
-      const std::vector<const Expr*> ctx = {&neg};
-      const std::vector<bool> drop = {false};
-      bool found = false;
-      for (std::size_t i = 0; i < ast.actions.size() && !found; ++i) {
-        const Expr witness = make_binary(Op::And, st[i].guard, st[i].changed);
-        const DecideOutcome r = decide_always(ast, witness, ctx, drop, dopts);
-        if (r.proved) {
-          progress_obs.push_back({Obligation::Kind::Progress, ast.actions[i].name, 0,
-                                  r.method, r.valuations,
-                                  "witness for violated conjunct " + std::to_string(ci)});
-          found = true;
-        }
-      }
-      local_ok = local_ok && found;
-      if (!local_ok) break;
+    for (std::size_t ci = 0; ci < p_conjuncts.size() && local_ok; ++ci) {
+      const auto w = progress_witness(ast, st, *p_conjuncts[ci], dopts);
+      local_ok = w.has_value();
+      if (local_ok)
+        progress_obs.push_back({Obligation::Kind::Progress, ast.actions[w->first].name, 0,
+                                w->second.method, w->second.valuations,
+                                "witness for violated conjunct " + std::to_string(ci)});
     }
     if (local_ok) {
       cert.obligations.insert(cert.obligations.end(), progress_obs.begin(),
@@ -304,7 +315,7 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
           if (!truthy(not_p, sv)) return true;
           for (const gcl::ActionAst& a : ast.actions) {
             if (!truthy(a.guard, sv)) continue;
-            apply_action_state(a, cards, sv, post);
+            gcl::step(a, cards, sv, post);
             if (post != sv) return true;
           }
           deadlock = true;
@@ -377,19 +388,17 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
       return reject(why, "table component size does not match |Sigma|");
 
   StateVec s, post;
-  bool ok = true;
-  std::string reason;
+  std::string reason;  // nonempty: rejected
   gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
     const bool in_p = target && truthy(*target, sv);
     bool has_move = false;
     for (const gcl::ActionAst& a : ast.actions) {
       if (!truthy(a.guard, sv)) continue;
-      apply_action_state(a, cards, sv, post);
+      gcl::step(a, cards, sv, post);
       if (post == sv) continue;
       has_move = true;
       if (in_p) {
         if (cert.closure_proved && !truthy(*target, post)) {
-          ok = false;
           reason = "closure violated by " + a.name;
           return false;
         }
@@ -398,7 +407,6 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
       if (target && truthy(*target, post)) continue;  // escaped into P
       // Lexicographic strict decrease on a !P -> !P transition.
       if (lex_compare(cert.components, sv, post, &pack) != -1) {
-        ok = false;
         reason = "transition by " + a.name + " does not decrease the ranking";
         return false;
       }
@@ -406,13 +414,12 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
     // Termination tolerates stuck states (the computation is finite);
     // convergence does not, outside P.
     if (target && !in_p && !has_move) {
-      ok = false;
       reason = "deadlock outside the target";
       return false;
     }
     return true;
   });
-  if (!ok) return reject(why, reason);
+  if (!reason.empty()) return reject(why, reason);
   return true;
 }
 
@@ -424,19 +431,16 @@ bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
 /// enumeration that is out of budget, so they are rejected here.
 bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
                      const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = gcl::cardinalities(ast);
   const DecideOptions dopts{cert.budget};
 
   for (const RankComponent& c : cert.components)
     if (c.kind == RankComponent::Kind::Table)
       return reject(why, "table component is not auditable beyond the budget");
 
-  const Expr not_p = target ? make_unary(Op::Not, *target) : make_const(1);
+  const std::vector<ActionState> st = action_states(ast, target);
   for (std::size_t i = 0; i < ast.actions.size(); ++i) {
     const gcl::ActionAst& a = ast.actions[i];
-    ActionState st{a.guard, changed_expr(a, cards), not_p,
-                   target ? post_expr(not_p, a, cards) : make_const(1)};
-    const SymbolicObligation ob = action_context(i, st);
+    const SymbolicObligation ob = action_context(i, st[i]);
     if (cert.ranked_at[i] == kUnranked) {
       if (!decide_unsat(ast, ob.context, ob.droppable, dopts).proved)
         return reject(why, "vacuity of " + a.name + " cannot be re-established");
@@ -450,30 +454,16 @@ bool validate_mode_b(const gcl::SystemAst& ast, const Expr* target,
   }
 
   if (target) {
-    for (const Expr* pi : conjuncts_of(*target)) {
-      const Expr neg = make_unary(Op::Not, *pi);
-      const std::vector<const Expr*> ctx = {&neg};
-      const std::vector<bool> drop = {false};
-      bool found = false;
-      for (const gcl::ActionAst& a : ast.actions) {
-        const Expr witness =
-            make_binary(Op::And, a.guard, changed_expr(a, cards));
-        if (decide_always(ast, witness, ctx, drop, dopts).proved) {
-          found = true;
-          break;
-        }
-      }
-      if (!found)
+    const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
+    for (const Expr* pi : p_conjuncts)
+      if (!progress_witness(ast, st, *pi, dopts))
         return reject(why, "no progress witness for a violated conjunct");
-    }
     if (cert.closure_proved) {
-      const std::vector<const Expr*> p_conjuncts = conjuncts_of(*target);
       int absint_ok = -1;
       std::vector<Obligation> scratch;
       for (std::size_t i = 0; i < ast.actions.size(); ++i) {
-        if (!discharge_closure_action(ast, *target, p_conjuncts, i, ast.actions[i].guard,
-                                      changed_expr(ast.actions[i], cards), dopts,
-                                      &absint_ok, scratch))
+        if (!discharge_closure_action(ast, *target, p_conjuncts, i, st[i].guard, st[i].changed,
+                                      dopts, &absint_ok, scratch))
           return reject(why, "closure under " + ast.actions[i].name +
                                  " cannot be re-established");
       }

@@ -97,8 +97,6 @@ struct ConvergenceCertificate {
 
 struct ProveOptions {
   std::size_t budget = std::size_t{1} << 20;  // per-obligation + table cap
-  std::size_t max_components = 16;            // lexicographic length cap
-  std::size_t max_pool = 64;                  // template candidates tried
 };
 
 struct ProveResult {

@@ -218,16 +218,6 @@ const char* discharge_name(Discharge d) {
 
 bool truthy(const gcl::Expr& e, const StateVec& s) { return gcl::eval(e, s) != 0; }
 
-void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
-                        const StateVec& s, StateVec& out) {
-  out = s;
-  for (const gcl::AssignmentAst& asg : action.assignments) {
-    if (asg.var_index >= out.size()) continue;
-    out[asg.var_index] = static_cast<Value>(
-        gcl::eval_mod(gcl::eval(asg.value, s), cards[asg.var_index]));
-  }
-}
-
 namespace {
 
 /// Shared context-selection step: mandatory footprint = prop + all
@@ -470,7 +460,7 @@ bool recheck_point_rows(const gcl::SystemAst& ast, std::size_t action,
   }
   StateVec post;
   for (const StateVec& row : rows) {
-    apply_action_state(a, cards, row, post);
+    gcl::step(a, cards, row, post);
     if (lex_compare(comps, row, post) != -1) return reject(why, no_decrease);
   }
   return true;

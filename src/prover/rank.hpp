@@ -136,12 +136,6 @@ DecideOutcome decide_all(const gcl::SystemAst& ast, const std::vector<gcl::Expr>
 /// GCL truthiness: eval(e, s) != 0.
 bool truthy(const gcl::Expr& e, const StateVec& s);
 
-/// Executes `action` on `s` (guard NOT checked): all right-hand sides
-/// evaluated against `s`, then written reduced modulo the cardinality,
-/// in declaration order (last write wins) — gcl::compile's semantics.
-void apply_action_state(const gcl::ActionAst& action, const std::vector<int>& cards,
-                        const StateVec& s, StateVec& out);
-
 /// Mixed-radix packing matching core::Space (variable 0 least
 /// significant) — the index space of table components and of both
 /// validators' complete-replay modes.

@@ -65,8 +65,7 @@ struct EnumRows {
   std::string fail;            // nonempty: classification inconclusive
 };
 
-EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budget,
-                          std::size_t max_a_nodes) {
+EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budget) {
   EnumRows out;
   out.fp = obligation_footprint(ctx, ai);
   const gcl::ActionAst& act = ctx.c.actions[ai];
@@ -79,7 +78,7 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
   StateVec s, post, img_s, img_t;
   gcl::for_each_valuation(out.fp, ctx.c_cards, s, [&](const StateVec& sv) {
     if (!truthy(act.guard, sv)) return true;
-    apply_action_state(act, ctx.c_cards, sv, post);
+    gcl::step(act, ctx.c_cards, sv, post);
     if (post == sv) return true;
     ++out.rows;
     gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
@@ -96,7 +95,7 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
       return true;
     }
     bool exhausted = false;
-    if (auto path = find_a_path(ctx, img_s, img_t, max_a_nodes, &exhausted)) {
+    if (auto path = find_a_path(ctx, img_s, img_t, &exhausted)) {
       out.compressed.push_back({sv, ai, std::move(*path)});
       return true;
     }
@@ -113,6 +112,154 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
     return false;
   });
   return out;
+}
+
+// --- the certificate legs ---------------------------------------------
+// One function decides each leg: the prover calls it on every candidate
+// it tries, mode B on the choice the certificate stores.
+
+/// One concrete action as the legs read it; `cls` is the class the
+/// prover found, or in mode B the class the certificate claims.
+struct ActionInfo {
+  const Expr* guard = nullptr;
+  Expr changed;
+  std::vector<Expr> stutter_conjs;
+  ActionClass cls = ActionClass::Enumerated;
+  std::size_t matched = 0;  // Exact/Mixed: the abstract action
+  EnumRows rows;            // Enumerated: the classified rows
+};
+
+std::vector<ActionInfo> action_info(const AlphaCtx& ctx) {
+  std::vector<ActionInfo> info(ctx.c.actions.size());
+  for (std::size_t i = 0; i < info.size(); ++i) {
+    info[i].guard = &ctx.c.actions[i].guard;
+    info[i].changed = changed_expr(ctx.c.actions[i], ctx.c_cards);
+    info[i].stutter_conjs = stutter_conjuncts(ctx, i);
+  }
+  return info;
+}
+
+/// The one decide call, under {guard, changed}, that puts action `i` in
+/// class `cls` (against abstract action `bi` for Exact and Mixed);
+/// Enumerated actions are classified by enumerate_action instead.
+DecideOutcome decide_class(const AlphaCtx& ctx, std::size_t i, const ActionInfo& a, ActionClass cls,
+                           std::size_t bi, const DecideOptions& dopts) {
+  const std::vector<const Expr*> fires = {a.guard, &a.changed};
+  const std::vector<bool> drop = {false, false};
+  switch (cls) {
+    case ActionClass::Vacuous:
+      return decide_unsat(ctx.c, fires, drop, dopts);
+    case ActionClass::Stutter:
+      return decide_all(ctx.c, a.stutter_conjs, fires, drop, dopts);
+    case ActionClass::Exact:
+      return decide_all(ctx.c, match_conjuncts(ctx, i, bi), fires, drop, dopts);
+    case ActionClass::Mixed: {
+      const Expr prop =
+          make_binary(Op::Or, conj(a.stutter_conjs), conj(match_conjuncts(ctx, i, bi)));
+      return decide_always(ctx.c, prop, fires, drop, dopts);
+    }
+    case ActionClass::Enumerated:
+      break;
+  }
+  return {};
+}
+
+/// The audit-trail detail of an action's Classify obligation.
+std::string class_detail(const AlphaCtx& ctx, const ActionInfo& a) {
+  switch (a.cls) {
+    case ActionClass::Vacuous:
+      return "never fires";
+    case ActionClass::Stutter:
+      return "stutter (" + std::to_string(a.stutter_conjs.size()) + " conjunct(s))";
+    case ActionClass::Exact:
+      return "maps to " + ctx.a.actions[a.matched].name;
+    case ActionClass::Mixed:
+      return "stutter or " + ctx.a.actions[a.matched].name;
+    case ActionClass::Enumerated:
+      break;
+  }
+  return std::to_string(a.rows.stutter_rows.size()) + " stutter / " +
+         std::to_string(a.rows.exempt_rows) + " exempt / " +
+         std::to_string(a.rows.exact_rows) + " exact / " +
+         std::to_string(a.rows.compressed.size()) + " compressed row(s)";
+}
+
+/// The stutter-rank context of a Stutter or Mixed action: {guard,
+/// changed}, then its stutter conjuncts and "the image is no
+/// A-deadlock", droppable. Unsatisfiable, it exempts the action;
+/// otherwise the action's rank site is decided under it.
+ObCtx stutter_context(const ActionInfo& a, const Expr& not_dl) {
+  ObCtx cx;
+  cx.add(*a.guard, false);
+  cx.add(a.changed, false);
+  for (const Expr& cj : a.stutter_conjs) cx.add(cj, true);
+  cx.add(not_dl, true);
+  return cx;
+}
+
+/// Compressed rows outside reach(I_C): `inv` reads inside each row's
+/// footprint and is false at its source, init implies each conjunct,
+/// and every non-vacuous action preserves each. Appends the audit trail
+/// to `trail` when non-null.
+bool check_invariant(const AlphaCtx& ctx, const std::vector<ActionInfo>& info,
+                     const std::vector<CompressedRow>& compressed, const Expr& inv,
+                     const DecideOptions& dopts, std::vector<RefineObligation>* trail,
+                     std::string* why) {
+  const gcl::SystemAst& c = ctx.c;
+  const std::vector<std::size_t> reads = gcl::footprint(inv, c.vars.size());
+  for (const CompressedRow& row : compressed) {
+    const std::vector<std::size_t>& fp = info[row.action].rows.fp;
+    if (!std::includes(fp.begin(), fp.end(), reads.begin(), reads.end()))
+      return reject(why, "the invariant reads outside a compressed row's footprint");
+    if (truthy(inv, row.source))
+      return reject(why, "the alpha invariant does not exclude a compressed row of " +
+                             c.actions[row.action].name);
+  }
+  const std::vector<const Expr*> init_conjs = conjuncts_of(*c.init);
+  const std::vector<const Expr*> inv_conjs = conjuncts_of(inv);
+  const std::vector<bool> init_drop(init_conjs.size(), true);
+  for (std::size_t ci = 0; ci < inv_conjs.size(); ++ci) {
+    const DecideOutcome r = decide_always(c, *inv_conjs[ci], init_conjs, init_drop, dopts);
+    if (!r.proved)
+      return reject(why, "invariant conjunct " + std::to_string(ci) + " is not implied by init");
+    if (trail)
+      trail->push_back({RefineObligation::Kind::InvariantInit, "", ci, r.method, r.valuations,
+                        "init implies conjunct " + std::to_string(ci)});
+  }
+  for (std::size_t i = 0; i < info.size(); ++i) {
+    if (info[i].cls == ActionClass::Vacuous) continue;
+    for (std::size_t ci = 0; ci < inv_conjs.size(); ++ci) {
+      const Expr post = post_expr(*inv_conjs[ci], c.actions[i], ctx.c_cards);
+      ObCtx cx;
+      cx.add(*info[i].guard, false);
+      cx.add(info[i].changed, false);
+      for (const Expr* pc : inv_conjs) cx.add(*pc, true);
+      const DecideOutcome r = decide_always(c, post, cx.ptrs, cx.drop, dopts);
+      if (!r.proved)
+        return reject(why, "invariant conjunct " + std::to_string(ci) +
+                               " is not inductive under " + c.actions[i].name);
+      if (trail)
+        trail->push_back({RefineObligation::Kind::InvariantStep, c.actions[i].name, ci, r.method,
+                          r.valuations, "conjunct preserved"});
+    }
+  }
+  if (trail)
+    trail->push_back({RefineObligation::Kind::InvariantExcludes, "", 0, Discharge::Enumeration,
+                      compressed.size(), "invariant refuted at every compressed source"});
+  return true;
+}
+
+/// Deadlock support of the abstract action that `fires` at the image:
+/// with `sup` empty it never fires, else some action of `sup` fires too.
+DecideOutcome decide_support(const AlphaCtx& ctx, const std::vector<ActionInfo>& info,
+                             const Expr& fires, const std::vector<std::size_t>& sup,
+                             const DecideOptions& dopts) {
+  const std::vector<const Expr*> acx = {&fires};
+  if (sup.empty()) return decide_unsat(ctx.c, acx, {false}, dopts);
+  std::vector<Expr> fires_c;
+  for (std::size_t i : sup)
+    fires_c.push_back(make_binary(Op::And, *info[i].guard, info[i].changed));
+  return decide_always(ctx.c, disj(std::move(fires_c)), acx, {true}, dopts);
 }
 
 }  // namespace
@@ -154,20 +301,6 @@ const char* refine_verdict_name(RefineVerdict v) {
 
 // --- the prover -------------------------------------------------------
 
-namespace {
-
-/// Per-action synthesis state.
-struct ActionInfo {
-  Expr guard;
-  Expr changed;
-  std::vector<Expr> stutter_conjs;
-  ActionClass cls = ActionClass::Enumerated;
-  std::ptrdiff_t matched = -1;
-  EnumRows rows;  // Enumerated only
-};
-
-}  // namespace
-
 RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
                               const gcl::AlphaSpec& alpha, const RefineOptions& opts) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -183,6 +316,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
   const AlphaCtx ctx(c_ast, a_ast, alpha);
   const DecideOptions dopts{opts.budget};
   const std::size_t nc = c_ast.actions.size();
+  const std::size_t na = a_ast.actions.size();
 
   RefinementCertificate cert;
   cert.c_system = c_ast.name;
@@ -195,79 +329,34 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
   cert.stutter_ranked_at.assign(nc, kUnranked);
 
   // --- per-action classification ladder ------------------------------
-  std::vector<ActionInfo> info(nc);
+  // Vacuous (never a state-changing transition), Stutter (alpha(s') ==
+  // alpha(s) on every transition), Exact against the first abstract b
+  // whose edge every transition maps to, Mixed (stutter or b's edge,
+  // state by state), and only then the row-by-row enumeration.
+  std::vector<ActionInfo> info = action_info(ctx);
   for (std::size_t i = 0; i < nc; ++i) {
     const gcl::ActionAst& act = c_ast.actions[i];
     ActionInfo& ai = info[i];
-    ai.guard = act.guard;
-    ai.changed = changed_expr(act, ctx.c_cards);
-    ai.stutter_conjs = stutter_conjuncts(ctx, i);
-
-    // (1) Vacuous: the action never takes a state-changing transition.
-    const std::vector<const Expr*> fires_ctx = {&ai.guard, &ai.changed};
-    if (const DecideOutcome r = decide_unsat(c_ast, fires_ctx, {false, false}, dopts);
-        r.proved) {
-      ai.cls = ActionClass::Vacuous;
+    auto climb = [&](ActionClass cls, std::size_t bi) {
+      const DecideOutcome r = decide_class(ctx, i, ai, cls, bi, dopts);
+      if (!r.proved) return false;
+      ai.cls = cls;
+      ai.matched = bi;
       cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0, r.method,
-                                  r.valuations, "never fires"});
-      cert.action_class[i] = ai.cls;
-      continue;
-    }
+                                  r.valuations, class_detail(ctx, ai)});
+      cert.action_class[i] = cls;
+      if (cls == ActionClass::Exact || cls == ActionClass::Mixed)
+        cert.matched[i] = static_cast<std::ptrdiff_t>(bi);
+      return true;
+    };
+    bool classified = climb(ActionClass::Vacuous, 0) || climb(ActionClass::Stutter, 0);
+    for (std::size_t bi = 0; bi < na && !classified; ++bi)
+      classified = climb(ActionClass::Exact, bi);
+    for (std::size_t bi = 0; bi < na && !classified; ++bi)
+      classified = climb(ActionClass::Mixed, bi);
+    if (classified) continue;
 
-    // (2) Pure stutter: alpha(s') == alpha(s) on every transition.
-    if (const DecideOutcome r =
-            decide_all(c_ast, ai.stutter_conjs, fires_ctx, {false, false}, dopts);
-        r.proved) {
-      ai.cls = ActionClass::Stutter;
-      cert.obligations.push_back(
-          {RefineObligation::Kind::Classify, act.name, 0, r.method, r.valuations,
-           "stutter (" + std::to_string(ai.stutter_conjs.size()) + " conjunct(s))"});
-      cert.action_class[i] = ai.cls;
-      continue;
-    }
-
-    // (3) Exact: every transition maps to the A-edge of one abstract b.
-    bool classified = false;
-    for (std::size_t bi = 0; bi < a_ast.actions.size() && !classified; ++bi) {
-      const DecideOutcome r =
-          decide_all(c_ast, match_conjuncts(ctx, i, bi), fires_ctx, {false, false}, dopts);
-      if (r.proved) {
-        ai.cls = ActionClass::Exact;
-        ai.matched = static_cast<std::ptrdiff_t>(bi);
-        cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0,
-                                    r.method, r.valuations,
-                                    "maps to " + a_ast.actions[bi].name});
-        classified = true;
-      }
-    }
-    if (classified) {
-      cert.action_class[i] = ai.cls;
-      cert.matched[i] = ai.matched;
-      continue;
-    }
-
-    // (4) Mixed: stutter OR the edge of one abstract b, state by state.
-    for (std::size_t bi = 0; bi < a_ast.actions.size() && !classified; ++bi) {
-      const Expr prop = make_binary(Op::Or, conj(ai.stutter_conjs),
-                                    conj(match_conjuncts(ctx, i, bi)));
-      const DecideOutcome r = decide_always(c_ast, prop, fires_ctx, {false, false}, dopts);
-      if (r.proved) {
-        ai.cls = ActionClass::Mixed;
-        ai.matched = static_cast<std::ptrdiff_t>(bi);
-        cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0,
-                                    r.method, r.valuations,
-                                    "stutter or " + a_ast.actions[bi].name});
-        classified = true;
-      }
-    }
-    if (classified) {
-      cert.action_class[i] = ai.cls;
-      cert.matched[i] = ai.matched;
-      continue;
-    }
-
-    // (5) Enumerated residual classification over the footprint.
-    ai.rows = enumerate_action(ctx, i, opts.budget, opts.max_a_nodes);
+    ai.rows = enumerate_action(ctx, i, opts.budget);
     if (ai.rows.refuted) {
       result.counterexample = ai.rows.refute_msg;
       result.failures.push_back(ai.rows.refute_msg);
@@ -277,16 +366,9 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
       result.failures.push_back(ai.rows.fail);
       continue;
     }
-    ai.cls = ActionClass::Enumerated;
-    cert.action_class[i] = ai.cls;
     cert.enum_footprint[i] = ai.rows.fp;
-    cert.obligations.push_back(
-        {RefineObligation::Kind::Classify, act.name, 0, Discharge::Enumeration,
-         ai.rows.rows,
-         std::to_string(ai.rows.stutter_rows.size()) + " stutter / " +
-             std::to_string(ai.rows.exempt_rows) + " exempt / " +
-             std::to_string(ai.rows.exact_rows) + " exact / " +
-             std::to_string(ai.rows.compressed.size()) + " compressed row(s)"});
+    cert.obligations.push_back({RefineObligation::Kind::Classify, act.name, 0,
+                                Discharge::Enumeration, ai.rows.rows, class_detail(ctx, ai)});
   }
   if (!result.failures.empty()) return finish(RefineVerdict::Unknown);
 
@@ -296,7 +378,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
 
   const Expr not_dl = not_a_deadlock_expr(ctx);
   const InterferenceGraph ig = build_interference(c_ast);
-  const std::vector<Candidate> pool = template_pool(c_ast, ig, opts.max_pool);
+  const std::vector<Candidate> pool = template_pool(c_ast, ig);
 
   // --- stutter ranking ------------------------------------------------
   // Strict lexicographic decrease on every stutter step whose image is
@@ -306,11 +388,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
   for (std::size_t i = 0; i < nc; ++i) {
     if (info[i].cls != ActionClass::Stutter && info[i].cls != ActionClass::Mixed)
       continue;
-    ObCtx cx;
-    cx.add(info[i].guard, false);
-    cx.add(info[i].changed, false);
-    for (const Expr& cj : info[i].stutter_conjs) cx.add(cj, true);
-    cx.add(not_dl, true);
+    ObCtx cx = stutter_context(info[i], not_dl);
     // Exemption pre-pass: no stutter transition with a live image at
     // all (an unsatisfiable subset of the context witnesses this).
     const DecideOutcome r = decide_unsat(c_ast, cx.ptrs, cx.drop, dopts);
@@ -327,8 +405,7 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
     for (const StateVec& row : info[i].rows.stutter_rows)
       srows.push_back({i, &row, &info[i].rows.fp});
 
-  LexSynthesis stutter =
-      synthesize_ranking(c_ast, pool, sym, srows, opts.max_components, dopts);
+  LexSynthesis stutter = synthesize_ranking(c_ast, pool, sym, srows, dopts);
   for (const LexSynthesis::Step& step : stutter.steps) {
     const std::size_t a = sym[step.obligation].action;
     if (step.strict) cert.stutter_ranked_at[a] = step.component;
@@ -362,13 +439,12 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
     std::vector<SymbolicObligation> nonvac;
     for (std::size_t i = 0; i < nc; ++i)
       if (info[i].cls != ActionClass::Vacuous)
-        nonvac.push_back({i, {&info[i].guard, &info[i].changed}, {false, false}, false});
+        nonvac.push_back({i, {info[i].guard, &info[i].changed}, {false, false}, false});
     std::vector<PointRow> vrows;
     vrows.reserve(cert.compressed.size());
     for (const CompressedRow& row : cert.compressed)
       vrows.push_back({row.action, &row.source, &info[row.action].rows.fp});
-    LexSynthesis visible =
-        synthesize_ranking(c_ast, pool, nonvac, vrows, opts.max_components, dopts);
+    LexSynthesis visible = synthesize_ranking(c_ast, pool, nonvac, vrows, dopts);
     for (const LexSynthesis::Step& step : visible.steps) {
       const std::string& name = c_ast.actions[nonvac[step.obligation].action].name;
       cert.obligations.push_back({RefineObligation::Kind::VisibleNonIncrease, name,
@@ -396,60 +472,13 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
           "compressed rows with a declared init need an alpha invariant to "
           "exclude them from reach(I_C)");
     } else {
-      const Expr& inv = *alpha.invariant;
-      bool ok = true;
-      for (const CompressedRow& row : cert.compressed) {
-        if (truthy(inv, row.source)) {
-          result.failures.push_back(
-              "the alpha invariant does not exclude a compressed row of " +
-              c_ast.actions[row.action].name);
-          ok = false;
-          break;
-        }
-      }
-      const std::vector<const Expr*> init_conjs = conjuncts_of(*c_ast.init);
-      const std::vector<const Expr*> inv_conjs = conjuncts_of(inv);
-      for (std::size_t ci = 0; ci < inv_conjs.size() && ok; ++ci) {
-        std::vector<bool> drop(init_conjs.size(), true);
-        const DecideOutcome r =
-            decide_always(c_ast, *inv_conjs[ci], init_conjs, drop, dopts);
-        if (!r.proved) {
-          result.failures.push_back("invariant conjunct " + std::to_string(ci) +
-                                    " is not implied by init");
-          ok = false;
-          break;
-        }
-        cert.obligations.push_back({RefineObligation::Kind::InvariantInit, "", ci,
-                                    r.method, r.valuations,
-                                    "init implies conjunct " + std::to_string(ci)});
-      }
-      for (std::size_t i = 0; i < nc && ok; ++i) {
-        if (info[i].cls == ActionClass::Vacuous) continue;
-        for (std::size_t ci = 0; ci < inv_conjs.size() && ok; ++ci) {
-          const Expr post = post_expr(*inv_conjs[ci], c_ast.actions[i], ctx.c_cards);
-          ObCtx cx;
-          cx.add(info[i].guard, false);
-          cx.add(info[i].changed, false);
-          for (const Expr* pc : inv_conjs) cx.add(*pc, true);
-          const DecideOutcome r = decide_always(c_ast, post, cx.ptrs, cx.drop, dopts);
-          if (!r.proved) {
-            result.failures.push_back("invariant conjunct " + std::to_string(ci) +
-                                      " is not inductive under " +
-                                      c_ast.actions[i].name);
-            ok = false;
-            break;
-          }
-          cert.obligations.push_back({RefineObligation::Kind::InvariantStep,
-                                      c_ast.actions[i].name, ci, r.method,
-                                      r.valuations, "conjunct preserved"});
-        }
-      }
-      if (ok) {
-        cert.obligations.push_back({RefineObligation::Kind::InvariantExcludes, "", 0,
-                                    Discharge::Enumeration, cert.compressed.size(),
-                                    "invariant refuted at every compressed source"});
+      std::string why;
+      if (check_invariant(ctx, info, cert.compressed, *alpha.invariant, dopts, &cert.obligations,
+                          &why)) {
         cert.has_invariant = true;
-        cert.invariant = inv;
+        cert.invariant = *alpha.invariant;
+      } else {
+        result.failures.push_back(std::move(why));
       }
     }
   }
@@ -458,50 +487,39 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
   // For every abstract action b: b fires at the image => some concrete
   // action fires, witnessed by a small support subset so the obligation
   // footprint stays local.
-  cert.deadlock_support.assign(a_ast.actions.size(), {});
-  for (std::size_t bi = 0; bi < a_ast.actions.size(); ++bi) {
+  cert.deadlock_support.assign(na, {});
+  for (std::size_t bi = 0; bi < na; ++bi) {
     const Expr fires = a_action_fires_expr(ctx, bi);
-    const std::vector<const Expr*> acx = {&fires};
-    if (decide_unsat(c_ast, acx, {false}, dopts).proved) {
+    std::vector<std::size_t> sup;
+    DecideOutcome r = decide_support(ctx, info, fires, sup, dopts);
+    if (r.proved) {
       cert.obligations.push_back({RefineObligation::Kind::DeadlockSupport,
                                   a_ast.actions[bi].name, 0, Discharge::Vacuous, 0,
                                   "abstract action never fires at an image"});
       continue;
     }
-    auto try_support = [&](const std::vector<std::size_t>& sup,
-                           DecideOutcome* out) {
-      std::vector<Expr> fires_c;
-      for (std::size_t i : sup)
-        fires_c.push_back(make_binary(Op::And, info[i].guard, info[i].changed));
-      const Expr prop = disj(std::move(fires_c));
-      *out = decide_always(c_ast, prop, acx, {true}, dopts);
-      return out->proved;
+    auto try_support = [&](std::vector<std::size_t> candidate) {
+      sup = std::move(candidate);
+      r = decide_support(ctx, info, fires, sup, dopts);
+      return r.proved;
     };
     bool found = false;
-    DecideOutcome r;
-    std::vector<std::size_t> sup;
-    for (std::size_t i = 0; i < nc && !found; ++i) {
-      sup = {i};
-      found = try_support(sup, &r);
-    }
+    for (std::size_t i = 0; i < nc && !found; ++i) found = try_support({i});
     for (std::size_t i = 0; i < nc && !found; ++i)
-      for (std::size_t j = i + 1; j < nc && !found; ++j) {
-        sup = {i, j};
-        found = try_support(sup, &r);
-      }
+      for (std::size_t j = i + 1; j < nc && !found; ++j) found = try_support({i, j});
     if (!found) {
-      sup.clear();
-      for (std::size_t i = 0; i < nc; ++i) sup.push_back(i);
-      found = try_support(sup, &r);
+      std::vector<std::size_t> all(nc);
+      for (std::size_t i = 0; i < nc; ++i) all[i] = i;
+      found = try_support(std::move(all));
     }
     if (!found) {
       result.failures.push_back("no deadlock support for abstract action " +
                                 a_ast.actions[bi].name);
       continue;
     }
-    cert.deadlock_support[bi] = sup;
     std::string names;
     for (std::size_t i : sup) names += (names.empty() ? "" : ", ") + c_ast.actions[i].name;
+    cert.deadlock_support[bi] = std::move(sup);
     cert.obligations.push_back({RefineObligation::Kind::DeadlockSupport,
                                 a_ast.actions[bi].name, 0, r.method, r.valuations,
                                 "supported by {" + names + "}"});
@@ -532,13 +550,12 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
 
   std::unordered_set<std::size_t> comp_sources;
   StateVec s, post, img_s, img_t;
-  bool ok = true;
-  std::string reason;
+  std::string reason;  // nonempty: rejected
   gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
     bool has_move = false;
     for (const gcl::ActionAst& act : c_ast.actions) {
       if (!truthy(act.guard, sv)) continue;
-      apply_action_state(act, ctx.c_cards, sv, post);
+      gcl::step(act, ctx.c_cards, sv, post);
       if (post == sv) continue;
       has_move = true;
       gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
@@ -546,14 +563,12 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       if (img_s == img_t) {
         if (!a_is_deadlock(ctx, img_s) &&
             lex_compare(cert.stutter_components, sv, post) != -1) {
-          ok = false;
           reason = "a live stutter step of " + act.name +
                    " does not decrease the stutter ranking";
           return false;
         }
         if (!cert.visible_components.empty() &&
             lex_compare(cert.visible_components, sv, post) == +1) {
-          ok = false;
           reason = "a stutter step of " + act.name + " increases the visible ranking";
           return false;
         }
@@ -562,16 +577,14 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       if (find_direct_match(ctx, img_s, img_t) >= 0) {
         if (!cert.visible_components.empty() &&
             lex_compare(cert.visible_components, sv, post) == +1) {
-          ok = false;
           reason = "an exact step of " + act.name + " increases the visible ranking";
           return false;
         }
         continue;
       }
       bool exhausted = false;
-      const auto path = find_a_path(ctx, img_s, img_t, cert.budget, &exhausted);
+      const auto path = find_a_path(ctx, img_s, img_t, &exhausted);
       if (!path) {
-        ok = false;
         reason = exhausted ? "an Invalid edge exists under " + act.name
                            : "abstract BFS cap hit replaying " + act.name;
         return false;
@@ -579,7 +592,6 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       comp_sources.insert(pack.encode(sv));
       if (cert.visible_components.empty() ||
           lex_compare(cert.visible_components, sv, post) != -1) {
-        ok = false;
         reason = "a compressed step of " + act.name +
                  " does not strictly decrease the visible ranking";
         return false;
@@ -588,14 +600,13 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     if (!has_move) {
       gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
       if (!a_is_deadlock(ctx, img_s)) {
-        ok = false;
         reason = "a C-deadlock maps to a live abstract state";
         return false;
       }
     }
     return true;
   });
-  if (!ok) return reject(why, reason);
+  if (!reason.empty()) return reject(why, reason);
 
   if (!comp_sources.empty() && c_ast.init) {
     // reach(I_C) must avoid every compressed source (refinement_init
@@ -620,7 +631,7 @@ bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
       pack.decode(queue[head], ctx.c_cards, cur);
       for (const gcl::ActionAst& act : c_ast.actions) {
         if (!truthy(act.guard, cur)) continue;
-        apply_action_state(act, ctx.c_cards, cur, post);
+        gcl::step(act, ctx.c_cards, cur, post);
         if (post == cur) continue;
         const std::size_t id = pack.encode(post);
         if (!seen[id]) {
@@ -645,57 +656,36 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
   const AlphaCtx ctx(c_ast, a_ast, alpha);
   const DecideOptions dopts{cert.budget};
   const std::size_t nc = c_ast.actions.size();
-  const std::size_t n = c_ast.vars.size();
   const Expr not_dl = not_a_deadlock_expr(ctx);
 
-  std::vector<Expr> guards(nc), changeds(nc);
-  std::vector<std::vector<Expr>> sconjs(nc);
-  std::vector<EnumRows> rows(nc);
+  std::vector<ActionInfo> info = action_info(ctx);
   std::vector<CompressedRow> recomputed;
   for (std::size_t i = 0; i < nc; ++i) {
-    const gcl::ActionAst& act = c_ast.actions[i];
-    guards[i] = act.guard;
-    changeds[i] = changed_expr(act, ctx.c_cards);
-    sconjs[i] = stutter_conjuncts(ctx, i);
-    const std::vector<const Expr*> fires_ctx = {&guards[i], &changeds[i]};
-    switch (cert.action_class[i]) {
+    const std::string& name = c_ast.actions[i].name;
+    ActionInfo& a = info[i];
+    a.cls = cert.action_class[i];
+    if (a.cls == ActionClass::Enumerated) {
+      a.rows = enumerate_action(ctx, i, cert.budget);
+      if (a.rows.refuted) return reject(why, a.rows.refute_msg);
+      if (!a.rows.fail.empty()) return reject(why, a.rows.fail);
+      if (a.rows.fp != cert.enum_footprint[i])
+        return reject(why, "enumeration footprint of " + name +
+                               " does not match the certificate");
+      recomputed.insert(recomputed.end(), a.rows.compressed.begin(), a.rows.compressed.end());
+      continue;
+    }
+    if (cert.matched[i] >= 0) a.matched = static_cast<std::size_t>(cert.matched[i]);
+    if (decide_class(ctx, i, a, a.cls, a.matched, dopts).proved) continue;
+    switch (a.cls) {
       case ActionClass::Vacuous:
-        if (!decide_unsat(c_ast, fires_ctx, {false, false}, dopts).proved)
-          return reject(why, "vacuity of " + act.name + " cannot be re-established");
-        break;
+        return reject(why, "vacuity of " + name + " cannot be re-established");
       case ActionClass::Stutter:
-        if (!decide_all(c_ast, sconjs[i], fires_ctx, {false, false}, dopts).proved)
-          return reject(why, "stutter class of " + act.name + " cannot be re-established");
-        break;
-      case ActionClass::Exact: {
-        const std::size_t bi = static_cast<std::size_t>(cert.matched[i]);
-        if (!decide_all(c_ast, match_conjuncts(ctx, i, bi), fires_ctx, {false, false}, dopts)
-                 .proved)
-          return reject(why, "exact match of " + act.name + " vs " +
-                                 a_ast.actions[bi].name + " cannot be re-established");
-        break;
-      }
-      case ActionClass::Mixed: {
-        const std::size_t bi = static_cast<std::size_t>(cert.matched[i]);
-        std::vector<Expr> sc = sconjs[i];
-        const Expr prop =
-            make_binary(Op::Or, conj(std::move(sc)), conj(match_conjuncts(ctx, i, bi)));
-        if (!decide_always(c_ast, prop, fires_ctx, {false, false}, dopts).proved)
-          return reject(why, "mixed class of " + act.name +
-                                 " cannot be re-established");
-        break;
-      }
-      case ActionClass::Enumerated: {
-        rows[i] = enumerate_action(ctx, i, cert.budget, cert.budget);
-        if (rows[i].refuted) return reject(why, rows[i].refute_msg);
-        if (!rows[i].fail.empty()) return reject(why, rows[i].fail);
-        if (rows[i].fp != cert.enum_footprint[i])
-          return reject(why, "enumeration footprint of " + act.name +
-                                 " does not match the certificate");
-        for (const CompressedRow& row : rows[i].compressed)
-          recomputed.push_back(row);
-        break;
-      }
+        return reject(why, "stutter class of " + name + " cannot be re-established");
+      case ActionClass::Exact:
+        return reject(why, "exact match of " + name + " vs " +
+                               a_ast.actions[a.matched].name + " cannot be re-established");
+      default:
+        return reject(why, "mixed class of " + name + " cannot be re-established");
     }
   }
   if (recomputed.size() != cert.compressed.size())
@@ -710,14 +700,8 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
   // Stutter ranking: symbolic ladders for Stutter/Mixed actions,
   // point-wise lexicographic strictness at every enumerated stutter row.
   for (std::size_t i = 0; i < nc; ++i) {
-    if (cert.action_class[i] != ActionClass::Stutter &&
-        cert.action_class[i] != ActionClass::Mixed)
-      continue;
-    ObCtx cx;
-    cx.add(guards[i], false);
-    cx.add(changeds[i], false);
-    for (const Expr& cj : sconjs[i]) cx.add(cj, true);
-    cx.add(not_dl, true);
+    if (info[i].cls != ActionClass::Stutter && info[i].cls != ActionClass::Mixed) continue;
+    const ObCtx cx = stutter_context(info[i], not_dl);
     if (cert.stutter_ranked_at[i] == kUnranked) {
       if (!decide_unsat(c_ast, cx.ptrs, cx.drop, dopts).proved)
         return reject(why, "stutter exemption of " + c_ast.actions[i].name +
@@ -729,9 +713,9 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     }
   }
   for (std::size_t i = 0; i < nc; ++i)
-    if (!rows[i].stutter_rows.empty() &&
-        !recheck_point_rows(c_ast, i, cert.stutter_components, rows[i].stutter_rows,
-                            rows[i].fp, "stutter",
+    if (!info[i].rows.stutter_rows.empty() &&
+        !recheck_point_rows(c_ast, i, cert.stutter_components, info[i].rows.stutter_rows,
+                            info[i].rows.fp, "stutter",
                             "a stutter row of " + c_ast.actions[i].name +
                                 " does not decrease the stutter ranking",
                             why))
@@ -743,74 +727,36 @@ bool validate_mode_b(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
     return reject(why, "compressed rows without a visible ranking");
   if (!cert.visible_components.empty()) {
     for (std::size_t i = 0; i < nc; ++i)
-      if (cert.action_class[i] != ActionClass::Vacuous &&
+      if (info[i].cls != ActionClass::Vacuous &&
           !recheck_rank_site(c_ast, i, cert.visible_components,
                              cert.visible_components.size(), false,
-                             {&guards[i], &changeds[i]}, {false, false}, "visible ",
-                             dopts, why))
+                             {info[i].guard, &info[i].changed}, {false, false}, "visible ", dopts,
+                             why))
         return false;
     for (const CompressedRow& row : cert.compressed)
       if (!recheck_point_rows(c_ast, row.action, cert.visible_components,
-                              {&row.source, 1}, rows[row.action].fp, "visible",
+                              {&row.source, 1}, info[row.action].rows.fp, "visible",
                               "a compressed row of " + c_ast.actions[row.action].name +
                                   " does not strictly decrease the visible ranking",
                               why))
         return false;
   }
 
-  // Reach exclusion.
+  // Reach exclusion, through the invariant the alpha spec declares.
   if (!cert.compressed.empty() && c_ast.init) {
     if (!cert.has_invariant || !alpha.invariant ||
         !expr_equal(cert.invariant, *alpha.invariant))
       return reject(why, "compressed rows with init but no binding alpha invariant");
-    const Expr& inv = *alpha.invariant;
-    const std::vector<const Expr*> init_conjs = conjuncts_of(*c_ast.init);
-    const std::vector<const Expr*> inv_conjs = conjuncts_of(inv);
-    for (const Expr* ic : inv_conjs) {
-      std::vector<bool> drop(init_conjs.size(), true);
-      if (!decide_always(c_ast, *ic, init_conjs, drop, dopts).proved)
-        return reject(why, "an invariant conjunct is not implied by init");
-    }
-    for (std::size_t i = 0; i < nc; ++i) {
-      if (cert.action_class[i] == ActionClass::Vacuous) continue;
-      for (const Expr* ic : inv_conjs) {
-        const Expr post = post_expr(*ic, c_ast.actions[i], ctx.c_cards);
-        ObCtx cx;
-        cx.add(guards[i], false);
-        cx.add(changeds[i], false);
-        for (const Expr* pc : inv_conjs) cx.add(*pc, true);
-        if (!decide_always(c_ast, post, cx.ptrs, cx.drop, dopts).proved)
-          return reject(why, "an invariant conjunct is not inductive under " +
-                                 c_ast.actions[i].name);
-      }
-    }
-    const std::vector<std::size_t> inv_reads = gcl::footprint(inv, n);
-    for (const CompressedRow& row : cert.compressed) {
-      const std::vector<std::size_t>& fp = rows[row.action].fp;
-      if (!std::includes(fp.begin(), fp.end(), inv_reads.begin(), inv_reads.end()))
-        return reject(why, "the invariant reads outside a compressed row's footprint");
-      if (truthy(inv, row.source))
-        return reject(why, "the invariant does not exclude a compressed source");
-    }
+    if (!check_invariant(ctx, info, cert.compressed, *alpha.invariant, dopts, nullptr, why))
+      return false;
   }
 
   // Deadlock obligations with the stored supports.
   for (std::size_t bi = 0; bi < a_ast.actions.size(); ++bi) {
-    const Expr fires = a_action_fires_expr(ctx, bi);
-    const std::vector<const Expr*> acx = {&fires};
-    if (cert.deadlock_support[bi].empty()) {
-      if (!decide_unsat(c_ast, acx, {false}, dopts).proved)
-        return reject(why, "empty deadlock support for " + a_ast.actions[bi].name +
-                               " cannot be re-established");
-      continue;
-    }
-    std::vector<Expr> fires_c;
-    for (std::size_t i : cert.deadlock_support[bi])
-      fires_c.push_back(make_binary(Op::And, guards[i], changeds[i]));
-    const Expr prop = disj(std::move(fires_c));
-    if (!decide_always(c_ast, prop, acx, {true}, dopts).proved)
-      return reject(why, "deadlock support of " + a_ast.actions[bi].name +
-                             " cannot be re-established");
+    const std::vector<std::size_t>& sup = cert.deadlock_support[bi];
+    if (!decide_support(ctx, info, a_action_fires_expr(ctx, bi), sup, dopts).proved)
+      return reject(why, (sup.empty() ? "empty deadlock support for " : "deadlock support of ") +
+                             a_ast.actions[bi].name + " cannot be re-established");
   }
   return true;
 }

@@ -145,9 +145,6 @@ const char* refine_verdict_name(RefineVerdict v);
 
 struct RefineOptions {
   std::size_t budget = std::size_t{1} << 20;  // decide/enumeration cap
-  std::size_t max_components = 16;            // lexicographic length cap
-  std::size_t max_pool = 64;                  // template candidates tried
-  std::size_t max_a_nodes = std::size_t{1} << 16;  // abstract BFS cap
 };
 
 struct RefineResult {

@@ -9,17 +9,24 @@ namespace cref::prover {
 using gcl::Expr;
 using gcl::Op;
 
-void push_candidate(std::vector<Candidate>& pool, std::string pretty, Expr e,
-                    std::size_t max_pool) {
-  if (pool.size() >= max_pool) return;
+namespace {
+
+constexpr std::size_t kMaxPool = 64;        // template candidates tried
+constexpr std::size_t kMaxComponents = 16;  // lexicographic length cap
+
+/// Appends a candidate unless the pool is full or an expr_equal
+/// duplicate is already present.
+void push_candidate(std::vector<Candidate>& pool, std::string pretty, Expr e) {
+  if (pool.size() >= kMaxPool) return;
   for (const Candidate& c : pool)
     if (expr_equal(c.expr, e)) return;
   pool.push_back({std::move(pretty), std::move(e)});
 }
 
+}  // namespace
+
 std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
-                                     const InterferenceGraph& ig,
-                                     std::size_t max_pool) {
+                                     const InterferenceGraph& ig) {
   std::vector<Candidate> pool;
   const std::size_t n = ast.vars.size();
 
@@ -35,13 +42,13 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
     });
     for (std::size_t i : order)
       push_candidate(pool, "enabled(" + ast.actions[i].name + ")",
-                     indicator(ast.actions[i]), max_pool);
+                     indicator(ast.actions[i]));
   }
 
   if (ast.actions.size() >= 2) {
     std::vector<Expr> ind;
     for (const gcl::ActionAst& a : ast.actions) ind.push_back(indicator(a));
-    push_candidate(pool, "enabled-count", make_sum(std::move(ind)), max_pool);
+    push_candidate(pool, "enabled-count", make_sum(std::move(ind)));
   }
 
   std::vector<char> written(n, 0);
@@ -63,15 +70,14 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
       down.push_back(make_binary(Op::Sub, make_const(ast.vars[v].cardinality - 1),
                                  make_var(ast, v)));
     }
-    push_candidate(pool, "sum-vars", make_sum(std::move(up)), max_pool);
-    push_candidate(pool, "sum-complements", make_sum(std::move(down)), max_pool);
+    push_candidate(pool, "sum-vars", make_sum(std::move(up)));
+    push_candidate(pool, "sum-complements", make_sum(std::move(down)));
   }
   for (std::size_t v : wvars) {
-    push_candidate(pool, ast.vars[v].name, make_var(ast, v), max_pool);
+    push_candidate(pool, ast.vars[v].name, make_var(ast, v));
     push_candidate(pool, "complement(" + ast.vars[v].name + ")",
                    make_binary(Op::Sub, make_const(ast.vars[v].cardinality - 1),
-                               make_var(ast, v)),
-                   max_pool);
+                               make_var(ast, v)));
   }
 
   for (std::size_t u = 0; u < n; ++u) {
@@ -83,15 +89,13 @@ std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
                          std::to_string(k),
                      make_binary(Op::Mod,
                                  make_binary(Op::Sub, make_var(ast, u), make_var(ast, v)),
-                                 make_const(k)),
-                     max_pool);
+                                 make_const(k)));
       push_candidate(pool,
                      "(" + ast.vars[v].name + " - " + ast.vars[u].name + ") mod " +
                          std::to_string(k),
                      make_binary(Op::Mod,
                                  make_binary(Op::Sub, make_var(ast, v), make_var(ast, u)),
-                                 make_const(k)),
-                     max_pool);
+                                 make_const(k)));
     }
   }
   return pool;
@@ -102,7 +106,7 @@ LexSynthesis synthesize_ranking(const gcl::SystemAst& ast,
                                 const std::vector<Candidate>& pool,
                                 const std::vector<SymbolicObligation>& obligations,
                                 const std::vector<PointRow>& rows,
-                                std::size_t max_components, const DecideOptions& opts) {
+                                const DecideOptions& opts) {
   const std::vector<int> cards = gcl::cardinalities(ast);
   LexSynthesis out;
   std::vector<std::size_t> open(obligations.size());
@@ -129,7 +133,7 @@ LexSynthesis synthesize_ranking(const gcl::SystemAst& ast,
   };
 
   for (const Candidate& cand : pool) {
-    if ((!strict_open() && open_rows.empty()) || out.components.size() >= max_components)
+    if ((!strict_open() && open_rows.empty()) || out.components.size() >= kMaxComponents)
       break;
     struct Eval {
       std::size_t obligation;

@@ -25,18 +25,13 @@ struct Candidate {
   gcl::Expr expr;
 };
 
-/// Appends a candidate unless the pool is full or an expr_equal
-/// duplicate is already present.
-void push_candidate(std::vector<Candidate>& pool, std::string pretty, gcl::Expr e,
-                    std::size_t max_pool);
-
 /// The ordered template pool: guard indicators by dependency layer (DAG
 /// programs only), the enabled count, linear sums over written
 /// variables, per-variable terms (layer order), mod-k differences along
-/// dependency edges. Order is the synthesis priority.
+/// dependency edges, without expr_equal duplicates and at most 64
+/// candidates. Order is the synthesis priority.
 std::vector<Candidate> template_pool(const gcl::SystemAst& ast,
-                                     const InterferenceGraph& ig,
-                                     std::size_t max_pool);
+                                     const InterferenceGraph& ig);
 
 /// What one action owes the ranking: the candidate's Delta for `action`
 /// is decided under `context` plus, droppable, the ties Delta == 0 of
@@ -76,7 +71,7 @@ struct LexSynthesis {
 };
 
 /// Greedy lexicographic synthesis: walks `pool` in order while a strict
-/// obligation or a row is open and fewer than `max_components` are
+/// obligation or a row is open and fewer than 16 components are
 /// accepted. A candidate is rejected unless Delta <= 0 is proved for
 /// every open obligation and holds at every open row; it is accepted
 /// when it strictly decreases for one of them or, failing that, is not
@@ -86,6 +81,6 @@ LexSynthesis synthesize_ranking(const gcl::SystemAst& ast,
                                 const std::vector<Candidate>& pool,
                                 const std::vector<SymbolicObligation>& obligations,
                                 const std::vector<PointRow>& rows,
-                                std::size_t max_components, const DecideOptions& opts);
+                                const DecideOptions& opts);
 
 }  // namespace cref::prover

@@ -558,17 +558,7 @@ PhaseTimings RefinementChecker::phase_timings() const {
   t.a_scc_ms = a_scc_ms_.load(std::memory_order_relaxed);
   t.closure_ms = closure_ms_.load(std::memory_order_relaxed);
   t.edge_scan_ms = edge_scan_ms_.load(std::memory_order_relaxed);
-  t.absint_ms = absint_ms_.load(std::memory_order_relaxed);
   return t;
-}
-
-void RefinementChecker::reset_phase_timings() const {
-  graph_build_ms_.store(0, std::memory_order_relaxed);
-  c_scc_ms_.store(0, std::memory_order_relaxed);
-  a_scc_ms_.store(0, std::memory_order_relaxed);
-  closure_ms_.store(0, std::memory_order_relaxed);
-  edge_scan_ms_.store(0, std::memory_order_relaxed);
-  absint_ms_.store(0, std::memory_order_relaxed);
 }
 
 const char* to_string(EdgeClass c) {

@@ -152,15 +152,6 @@ class RefinementChecker {
 
   /// Snapshot of the accumulated per-phase wall-clock totals.
   PhaseTimings phase_timings() const;
-  void reset_phase_timings() const;
-
-  /// Accounts the wall-clock of an abstract-interpretation run whose
-  /// region pruned the graphs this checker was built from (the checker
-  /// never runs absint itself — the analysis happens on the GCL AST
-  /// before System construction; see absint::make_state_filter).
-  void record_absint_ms(double ms) const {
-    absint_ms_.fetch_add(ms, std::memory_order_relaxed);
-  }
 
   /// Number of C states.
   StateId num_states() const { return n_; }
@@ -276,7 +267,6 @@ class RefinementChecker {
   mutable std::atomic<double> a_scc_ms_{0};
   mutable std::atomic<double> closure_ms_{0};
   mutable std::atomic<double> edge_scan_ms_{0};
-  mutable std::atomic<double> absint_ms_{0};
 };
 
 }  // namespace cref

@@ -21,10 +21,6 @@ struct PhaseTimings {
   double edge_scan_ms = 0;    // classify / verify scans over T_C and the
                               // divergence search, minus the SCC and
                               // closure builds they trigger
-  double absint_ms = 0;       // abstract-interpretation fixpoint feeding
-                              // the state filter (recorded by callers
-                              // that run absint pruning; see
-                              // RefinementChecker::record_absint_ms)
 };
 
 }  // namespace cref

@@ -21,11 +21,6 @@ std::vector<gcl::Diagnostic> lint(const char* src) {
   return check_absint(gcl::parse(src));
 }
 
-std::size_t count_rule(const std::vector<gcl::Diagnostic>& diags, gcl::Rule r) {
-  return std::count_if(diags.begin(), diags.end(),
-                       [&](const gcl::Diagnostic& d) { return d.rule == r; });
-}
-
 const gcl::Diagnostic* find_rule(const std::vector<gcl::Diagnostic>& diags,
                                  gcl::Rule r) {
   auto it = std::find_if(diags.begin(), diags.end(),

@@ -67,8 +67,9 @@ golden prove_chain_k8_n6 0 gcl_prove --budget 512 tests/cli/chain_k8_n6.gcl \
 golden prove_utr_enabled_one 1 gcl_prove --enabled-one $G/utr_n3.gcl
 golden prove_utr_terminates 1 gcl_prove --terminates $G/utr_n3.gcl
 
-# gcl_refine: the three acceptance instances, the refuted pair and the
-# mode-B fixture (enumerated rows validated above the budget).
+# gcl_refine: the three acceptance instances, the refuted pair, the
+# mode-B fixture (enumerated rows validated above the budget) and the
+# BFS-cap fixture (a 201-step abstract path under a 128-valuation budget).
 golden refine_kstate_utr 0 gcl_refine --alpha $G/kstate_utr_n4.alpha \
   $G/utr_n4.gcl $G/dijkstra_kstate_n4.gcl
 golden refine_work_ring 0 gcl_refine $G/kstate_n5.gcl examples/refine/work_ring_n5.gcl
@@ -76,6 +77,8 @@ golden refine_w2 0 gcl_refine $G/w2_any_utr.gcl $G/w2_utr.gcl
 golden refine_refuted 1 gcl_refine $G/dijkstra3_n3.gcl $G/naive_ring_n3.gcl
 golden refine_jump_chain 0 gcl_refine --budget 128 --alpha $F/jump_proj.alpha \
   $F/fall_chain.gcl $F/jump_chain.gcl
+golden refine_bfs_cap 0 gcl_refine --budget 128 --alpha $F/shortcut_proj.alpha \
+  $F/longway.gcl $F/shortcut.gcl
 
 # gcl_lint with the abstract-interpretation rules and read/write sets
 # over every shipped protocol (its witnesses print formatted valuations).

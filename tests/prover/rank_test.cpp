@@ -57,7 +57,7 @@ TEST(RankTest, PostExprMatchesActionExecution) {
     const gcl::Expr post = post_expr(rho, action, cards);
     StateVec out;
     expect_matches_everywhere(ast, post, [&](const StateVec& s) {
-      apply_action_state(action, cards, s, out);
+      gcl::step(action, cards, s, out);
       return gcl::eval(rho, out);
     });
   }
@@ -68,12 +68,12 @@ TEST(RankTest, ApplyActionReadsOldStateAndLastWriteWins) {
   const std::vector<int> cards = gcl::cardinalities(ast);
   // `swap` assigns x := y, y := x from the OLD state: a genuine swap.
   StateVec s = {3, 1, 1}, out;
-  apply_action_state(ast.actions[1], cards, s, out);
+  gcl::step(ast.actions[1], cards, s, out);
   EXPECT_EQ(out, (StateVec{1, 3, 0}));
   // `twice` assigns x twice; the LAST assignment (x := x + 2) wins,
   // reduced mod card(x) = 4.
   s = {3, 0, 0};
-  apply_action_state(ast.actions[2], cards, s, out);
+  gcl::step(ast.actions[2], cards, s, out);
   EXPECT_EQ(out[0], 1);  // (3 + 2) % 4
 }
 
@@ -88,7 +88,7 @@ TEST(RankTest, DeltaCancelsUntouchedTerms) {
   // And it still computes the true difference everywhere.
   StateVec out;
   expect_matches_everywhere(ast, delta, [&](const StateVec& s) {
-    apply_action_state(ast.actions[0], cards, s, out);
+    gcl::step(ast.actions[0], cards, s, out);
     return gcl::eval(rho, out) - gcl::eval(rho, s);
   });
 }
@@ -112,7 +112,7 @@ TEST(RankTest, ChangedExprMatchesStateComparison) {
     const gcl::Expr changed = changed_expr(action, cards);
     StateVec scratch, out;
     gcl::for_each_valuation(gcl::all_vars(ast.vars.size()), cards, scratch, [&](const StateVec& s) {
-      apply_action_state(action, cards, s, out);
+      gcl::step(action, cards, s, out);
       EXPECT_EQ(gcl::eval(changed, s) != 0, out != s);
       return true;
     });

@@ -335,6 +335,20 @@ TEST(RefineTamper, ForgedInvariantIsRejectedModeB) {
   EXPECT_TRUE(rejected(p, bad));
 }
 
+TEST(RefineTamper, InvariantNotImpliedByInitIsRejectedModeB) {
+  // The genuine certificate, offered for the same program started at
+  // p == 2: the bound invariant p < 2 no longer follows from init, so
+  // the compressed source is reachable and the invariant leg must fail.
+  Proved p = proved_jump_chain();
+  std::string c_text = kJumpC;
+  const std::string init = "init : p == 0 && u == 0;";
+  c_text.replace(c_text.find(init), init.size(), "init : p == 2 && u == 0;");
+  p.c = gcl::parse(c_text);
+  p.alpha = gcl::parse_alpha("alpha proj {\n  a := p;\n  invariant : p < 2;\n}\n",
+                             p.c, p.a);
+  EXPECT_TRUE(rejected_by(p, p.cert, "invariant conjunct 0 is not implied by init"));
+}
+
 // --- scenario 10: stripped visible ranking ---------------------------
 
 TEST(RefineTamper, StrippedVisibleRankingIsRejected) {

@@ -133,6 +133,39 @@ TEST(RefineProverExamples, DeterministicWrapperRefinesPermissiveWrapper) {
   EXPECT_FALSE(cert.has_invariant);
 }
 
+// tests/prover/gcl/shortcut.gcl flips c in one step; longway.gcl needs
+// a 201-step path for the same image change. The abstract BFS is capped
+// by one constant, not by the enumeration budget, so the compressed row
+// proves and validates at a 128-valuation budget: in mode B with the
+// junk variable (402 states) and in mode A without it (2 states).
+TEST(RefineProverExamples, LongAbstractPathValidatesAtASmallBudgetInBothModes) {
+  const fs::path dir = fs::path(CREF_SOURCE_DIR) / "tests" / "prover" / "gcl";
+  const gcl::SystemAst a = gcl::parse(util::read_file(dir / "longway.gcl"));
+  const gcl::SystemAst with_junk = gcl::parse(util::read_file(dir / "shortcut.gcl"));
+  const gcl::SystemAst without_junk = gcl::parse(R"(
+    system shortcut {
+      var c : 0..1;
+      action flip : c == 0 -> c := 1;
+    })");
+  RefineOptions opts;
+  opts.budget = 128;
+  for (const gcl::SystemAst* c : {&with_junk, &without_junk}) {
+    SCOPED_TRACE(c->vars.size() == 2 ? "mode B" : "mode A");
+    const gcl::AlphaSpec alpha =
+        gcl::parse_alpha(util::read_file(dir / "shortcut_proj.alpha"), *c, a);
+    const RefineResult r = prove_refinement(*c, a, alpha, opts);
+    ASSERT_EQ(r.verdict, RefineVerdict::Proved)
+        << (r.failures.empty() ? std::string("no failure recorded") : r.failures[0]);
+    ASSERT_EQ(r.certificate->compressed.size(), 1u);
+    EXPECT_EQ(r.certificate->compressed[0].a_path.size(), 201u);
+    std::string why;
+    EXPECT_TRUE(validate_refinement_certificate(*c, a, alpha, *r.certificate, &why)) << why;
+    const RefineGroundTruth gt = explicit_refinement(*c, a, alpha);
+    EXPECT_TRUE(gt.applicable);
+    EXPECT_TRUE(gt.holds) << "static Proved but the explicit engine refutes";
+  }
+}
+
 // --- negatives and the Refuted verdict -------------------------------
 
 TEST(RefineProverNegative, ForgettingWorkIsRefutedAgainstNonRing) {

@@ -207,6 +207,29 @@ TEST(TamperTest, ModeBForgedVacuityRejected) {
   expect_rejected(p, "vacuity of a1");
 }
 
+TEST(TamperTest, ModeBMissingProgressWitnessRejected) {
+  // The genuine certificate, offered for a system whose a4 only fires
+  // when x1 == 1: every rank site still re-establishes, but a state
+  // with x1 == 0 and x4 != x3 is now a deadlock outside the target, and
+  // no action fires wherever x4 == x3 fails.
+  Proved p = proved_wide_chain();
+  p.ast = gcl::parse(R"(
+system wide_chain {
+  var x1 : 0..15;
+  var x2 : 0..15;
+  var x3 : 0..15;
+  var x4 : 0..15;
+  action a1 : x1 != 0  -> x1 := 0;
+  action a2 : x2 != x1 -> x2 := x1;
+  action a3 : x3 != x2 -> x3 := x2;
+  action a4 : x4 != x3 && x1 == 1 -> x4 := x3;
+  init : x1 == 0 && x2 == 0 && x3 == 0 && x4 == 0;
+}
+)");
+  p.target = predicate(p.ast, "x1 == 0 && x2 == x1 && x3 == x2 && x4 == x3");
+  expect_rejected(p, "no progress witness");
+}
+
 TEST(TamperTest, ModeBRejectsTableComponents) {
   // A table over 5^4 states with a budget of 100 claims an enumeration
   // the validator cannot afford to audit: reject, never trust.

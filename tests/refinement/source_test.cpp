@@ -167,8 +167,11 @@ TEST(SuccessorSourceTest, StutterRankDecreasesAlongEveryStutterEdge) {
   std::uint64_t top = 0;
   for (StateId s = 0; s < gen.num_states(); ++s) {
     top = std::max(top, (*sigma)[s]);
-    for (StateId t : gen.c_successors(s))
-      if (gen.image(s) == gen.image(t)) EXPECT_GT((*sigma)[s], (*sigma)[t]) << s << "->" << t;
+    for (StateId t : gen.c_successors(s)) {
+      if (gen.image(s) == gen.image(t)) {
+        EXPECT_GT((*sigma)[s], (*sigma)[t]) << s << "->" << t;
+      }
+    }
   }
   EXPECT_GE(top, 2u);  // m - 1 work steps per privilege, more with several
   const util::DenseBitset region = reachable_from(mat.c_graph(), mat.c_initial());

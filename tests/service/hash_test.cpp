@@ -47,7 +47,9 @@ TEST(ServiceHashTest, NoCollisionsAcrossRandomGraphFamily) {
     StateId n = 3 + static_cast<StateId>(seed % 12);
     TransitionGraph g = gen.random_graph(n, 0.25);
     auto [it, inserted] = seen.emplace(hash_graph(g).hex(), g);
-    if (!inserted) EXPECT_EQ(it->second, g) << "digest collision at seed " << seed;
+    if (!inserted) {
+      EXPECT_EQ(it->second, g) << "digest collision at seed " << seed;
+    }
   }
 }
 
