@@ -43,16 +43,11 @@ std::optional<ClosureViolation> find_exact_violation(const gcl::SystemAst& ast,
   StateVec s, post;
   gcl::for_each_valuation(gcl::all_vars(cards.size()), cards, s, [&](const StateVec& sv) {
     if (gcl::eval(*ast.init, sv) == 0) return true;
-    for (const auto& a : ast.actions) {
-      if (gcl::eval(a.guard, sv) == 0) continue;
-      gcl::step(a, cards, sv, post);
-      if (post == sv) continue;  // no-op executions are not transitions
-      if (gcl::eval(*ast.init, post) == 0) {
-        found = ClosureViolation{a.name, sv, post};
-        return false;
-      }
-    }
-    return true;
+    return gcl::for_each_move(ast, cards, sv, post, [&](std::size_t i, const StateVec& t) {
+      if (gcl::eval(*ast.init, t) != 0) return true;
+      found = ClosureViolation{ast.actions[i].name, sv, t};
+      return false;
+    });
   });
   return found;
 }

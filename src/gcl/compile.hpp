@@ -81,6 +81,22 @@ bool for_each_valuation(const std::vector<std::size_t>& vars,
 void step(const ActionAst& action, const std::vector<int>& cards, const StateVec& s,
           StateVec& out);
 
+/// Calls `f(action_index, post)` for every transition of `ast` at `s`, in
+/// declaration order: each action whose guard holds and whose step
+/// changes the state (a no-op execution is not a transition). `post` is
+/// the caller's scratch. Stops early when `f` returns false; returns
+/// false iff stopped early.
+template <class Fn>
+bool for_each_move(const SystemAst& ast, const std::vector<int>& cards, const StateVec& s,
+                   StateVec& post, Fn&& f) {
+  for (std::size_t i = 0; i < ast.actions.size(); ++i) {
+    if (eval(ast.actions[i].guard, s) == 0) continue;
+    step(ast.actions[i], cards, s, post);
+    if (post != s && !f(i, static_cast<const StateVec&>(post))) return false;
+  }
+  return true;
+}
+
 /// `name=value, ...` over the listed variables of `s` (diagnostic
 /// witnesses and refutation rows).
 std::string format_valuation(const SystemAst& ast, const StateVec& s,

@@ -1,7 +1,6 @@
 #include "prover/obligations.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
 #include "gcl/compile.hpp"
@@ -156,23 +155,14 @@ Expr not_a_deadlock_expr(const AlphaCtx& ctx) {
 
 bool a_is_deadlock(const AlphaCtx& ctx, const StateVec& as) {
   StateVec post;
-  for (const gcl::ActionAst& b : ctx.a.actions) {
-    if (gcl::eval(b.guard, as) == 0) continue;
-    gcl::step(b, ctx.a_cards, as, post);
-    if (post != as) return false;
-  }
-  return true;
+  return gcl::for_each_move(ctx.a, ctx.a_cards, as, post,
+                            [](std::size_t, const StateVec&) { return false; });
 }
 
-std::ptrdiff_t find_direct_match(const AlphaCtx& ctx, const StateVec& as,
-                                 const StateVec& at) {
+bool is_direct_match(const AlphaCtx& ctx, const StateVec& as, const StateVec& at) {
   StateVec post;
-  for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
-    if (gcl::eval(ctx.a.actions[bi].guard, as) == 0) continue;
-    gcl::step(ctx.a.actions[bi], ctx.a_cards, as, post);
-    if (post != as && post == at) return static_cast<std::ptrdiff_t>(bi);
-  }
-  return -1;
+  return !gcl::for_each_move(ctx.a, ctx.a_cards, as, post,
+                             [&](std::size_t, const StateVec& t) { return t != at; });
 }
 
 namespace {
@@ -199,38 +189,26 @@ std::optional<std::vector<std::size_t>> find_a_path(const AlphaCtx& ctx,
   StateVec cur, post;
   const std::size_t target = pack.encode(at);
 
-  auto expand = [&](const StateVec& s, std::ptrdiff_t from)
-      -> std::optional<std::size_t> {
-    for (std::size_t bi = 0; bi < ctx.a.actions.size(); ++bi) {
-      if (gcl::eval(ctx.a.actions[bi].guard, s) == 0) continue;
-      gcl::step(ctx.a.actions[bi], ctx.a_cards, s, post);
-      if (post == s) continue;
-      const std::size_t id = pack.encode(post);
-      if (id == target) {
-        order.push_back(id);
-        parent.push_back(from);
-        via.push_back(bi);
-        return order.size() - 1;
-      }
-      if (visited.insert(id).second) {
-        order.push_back(id);
-        parent.push_back(from);
-        via.push_back(bi);
-      }
-    }
-    return std::nullopt;
-  };
-
-  // Expands `as` (idx -1), then the queue in visit order.
+  // Expands `as` (idx -1), then the queue in visit order, until the
+  // target is the last node entered.
   for (std::ptrdiff_t idx = -1; idx < static_cast<std::ptrdiff_t>(order.size()); ++idx) {
     if (order.size() > kMaxANodes) {
       if (exhausted) *exhausted = false;
       return std::nullopt;
     }
     if (idx >= 0) pack.decode(order[idx], ctx.a_cards, cur);
-    if (auto hit = expand(idx < 0 ? as : cur, idx)) {
+    const bool hit = !gcl::for_each_move(
+        ctx.a, ctx.a_cards, idx < 0 ? as : cur, post, [&](std::size_t bi, const StateVec& t) {
+          const std::size_t id = pack.encode(t);
+          if (id != target && !visited.insert(id).second) return true;
+          order.push_back(id);
+          parent.push_back(idx);
+          via.push_back(bi);
+          return id != target;
+        });
+    if (hit) {
       std::vector<std::size_t> path;
-      for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(*hit); i >= 0; i = parent[i])
+      for (auto i = static_cast<std::ptrdiff_t>(order.size()) - 1; i >= 0; i = parent[i])
         path.push_back(via[i]);
       std::reverse(path.begin(), path.end());
       return path;

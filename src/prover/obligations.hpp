@@ -91,10 +91,9 @@ gcl::Expr a_action_fires_expr(const AlphaCtx& ctx, std::size_t bi);
 /// True iff no abstract action is enabled AND state-changing at `as`.
 bool a_is_deadlock(const AlphaCtx& ctx, const StateVec& as);
 
-/// Index of an abstract action forming the edge as -> at (enabled at
-/// `as`, result == `at` != `as`), or -1.
-std::ptrdiff_t find_direct_match(const AlphaCtx& ctx, const StateVec& as,
-                                 const StateVec& at);
+/// True iff one abstract action forms the edge as -> at (enabled at
+/// `as`, result == `at` != `as`).
+bool is_direct_match(const AlphaCtx& ctx, const StateVec& as, const StateVec& at);
 
 /// BFS in A's full state space for a path of length >= 1 from `as` to
 /// `at`, returned as the abstract action index sequence. The search

@@ -313,13 +313,9 @@ ProveResult prove_impl(const gcl::SystemAst& ast, const Expr* target,
         bool deadlock = false;
         gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
           if (!truthy(not_p, sv)) return true;
-          for (const gcl::ActionAst& a : ast.actions) {
-            if (!truthy(a.guard, sv)) continue;
-            gcl::step(a, cards, sv, post);
-            if (post != sv) return true;
-          }
-          deadlock = true;
-          return false;
+          deadlock = gcl::for_each_move(ast, cards, sv, post,
+                                        [](std::size_t, const StateVec&) { return false; });
+          return !deadlock;
         });
         if (deadlock) {
           progress_ok = false;
@@ -373,55 +369,37 @@ ProveResult prove_termination(const gcl::SystemAst& ast, const ProveOptions& opt
 
 namespace {
 
-/// Complete edge-level re-check: enumerate Sigma and verify the
-/// SEMANTIC claims directly — every transition with both ends outside P
-/// lexicographically decreases the tuple, no state outside P deadlocks,
-/// and (when claimed) P is closed. ranked_at is not trusted at all.
-bool validate_mode_a(const gcl::SystemAst& ast, const Expr* target,
-                     const ConvergenceCertificate& cert, std::string* why) {
-  const std::vector<int> cards = gcl::cardinalities(ast);
-  const std::size_t n = ast.vars.size();
-  const Packing pack(cards);
+/// Mode A's answers to the rules of refinement/positive_rules.hpp:
+/// convergence to P as the refinement of the two-state system
+/// (!P -> P) under s |-> [s in P]. A step outside P is a stutter owing
+/// a strict decrease of the tuple, a step out of P follows A only when
+/// closure is not claimed, and a deadlock may lie only in P (anywhere
+/// for termination, whose images are all !P).
+struct TargetView {
+  using Image = bool;  // [s in P]
+  static constexpr bool kRanked = false, kAPaths = false, kStoredRegion = false;
+  const Expr* target;
+  const ConvergenceCertificate& cert;
+  const Packing pack;
 
-  for (const RankComponent& c : cert.components)
-    if (c.kind == RankComponent::Kind::Table && c.table.size() != pack.total)
-      return reject(why, "table component size does not match |Sigma|");
-
-  StateVec s, post;
-  std::string reason;  // nonempty: rejected
-  gcl::for_each_valuation(gcl::all_vars(n), cards, s, [&](const StateVec& sv) {
-    const bool in_p = target && truthy(*target, sv);
-    bool has_move = false;
-    for (const gcl::ActionAst& a : ast.actions) {
-      if (!truthy(a.guard, sv)) continue;
-      gcl::step(a, cards, sv, post);
-      if (post == sv) continue;
-      has_move = true;
-      if (in_p) {
-        if (cert.closure_proved && !truthy(*target, post)) {
-          reason = "closure violated by " + a.name;
-          return false;
-        }
-        continue;
-      }
-      if (target && truthy(*target, post)) continue;  // escaped into P
-      // Lexicographic strict decrease on a !P -> !P transition.
-      if (lex_compare(cert.components, sv, post, &pack) != -1) {
-        reason = "transition by " + a.name + " does not decrease the ranking";
-        return false;
-      }
+  void image(const StateVec& s, bool& in_p) const { in_p = target && truthy(*target, s); }
+  bool in_region(const StateVec&) const { return false; }
+  int rho(const StateVec&, const StateVec&) const { return 0; }
+  int sigma(const StateVec& s, const StateVec& t) const {
+    return lex_compare(cert.components, s, t, &pack);
+  }
+  bool follows(bool u, bool v) const { return u == v || !u || !cert.closure_proved; }
+  bool live(bool u) const { return !u; }
+  bool may_end(bool u) const { return u || !target; }
+  std::string message(rules::Breach b, const std::string& action) const {
+    switch (b) {
+      case rules::Breach::kOffA: return "closure violated by " + action;
+      case rules::Breach::kSigma:
+        return "transition by " + action + " does not decrease the ranking";
+      default: return "deadlock outside the target";
     }
-    // Termination tolerates stuck states (the computation is finite);
-    // convergence does not, outside P.
-    if (target && !in_p && !has_move) {
-      reason = "deadlock outside the target";
-      return false;
-    }
-    return true;
-  });
-  if (!reason.empty()) return reject(why, reason);
-  return true;
-}
+  }
+};
 
 /// Symbolic re-derivation for state spaces beyond the enumeration
 /// budget: every template obligation implied by ranked_at is
@@ -498,10 +476,17 @@ bool validate_certificate(const gcl::SystemAst& ast, const gcl::Expr* target,
     if (r != kUnranked && r >= cert.components.size())
       return reject(why, "rank site out of range");
 
-  const std::size_t total = gcl::valuation_count(gcl::all_vars(ast.vars.size()),
-                                                 gcl::cardinalities(ast), cert.budget);
-  if (total <= cert.budget) return validate_mode_a(ast, target, cert, why);
-  return validate_mode_b(ast, target, cert, why);
+  const std::vector<int> cards = gcl::cardinalities(ast);
+  if (gcl::valuation_count(gcl::all_vars(cards.size()), cards, cert.budget) > cert.budget)
+    return validate_mode_b(ast, target, cert, why);
+  // Mode A: complete edge-level re-check of every transition of Sigma
+  // against the tuple, the target and the closure claim; ranked_at is
+  // not trusted.
+  TargetView view{target, cert, Packing(cards)};
+  for (const RankComponent& c : cert.components)
+    if (c.kind == RankComponent::Kind::Table && c.table.size() != view.pack.total)
+      return reject(why, "table component size does not match |Sigma|");
+  return replay(ast, cards, view, why);
 }
 
 // --- rendering --------------------------------------------------------

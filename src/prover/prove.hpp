@@ -39,7 +39,13 @@
 // the budget, and by re-discharging every template obligation from
 // validator-recomputed contexts when it does not (table components then
 // reject: they would need the very enumeration that is out of budget).
-// Both modes use rank.hpp's re-checker, never the synthesizer.
+// Both modes use rank.hpp's re-checker, never the synthesizer. The
+// complete re-check is the rules of refinement/positive_rules.hpp with
+// convergence to P read as refining the two-state system (!P -> P)
+// under s |-> [s in P]: a step outside P is a stutter the tuple must
+// strictly decrease, a step out of P breaks a claimed closure, and a
+// deadlock outside P has no image to end at (termination: every state
+// is outside P, and any state may end).
 
 #include <cstdint>
 #include <optional>

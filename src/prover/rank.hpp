@@ -21,10 +21,11 @@
 //
 // Also the one rank re-checker both validators share: the ranking
 // component type of both certificate kinds, one lexicographic
-// comparison across an edge, the mode-B re-derivation of an action's
-// rank site and the mode-B point check of enumerated rows. The provers
-// synthesize rankings with templates.hpp; the validators only re-check
-// them here, never re-running synthesis.
+// comparison across an edge, the mode-A replay of Sigma through the
+// rules of refinement/positive_rules.hpp, the mode-B re-derivation of
+// an action's rank site and the mode-B point check of enumerated rows.
+// The provers synthesize rankings with templates.hpp; the validators
+// only re-check them here, never re-running synthesis.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +35,8 @@
 
 #include "core/space.hpp"
 #include "gcl/ast.hpp"
+#include "gcl/compile.hpp"
+#include "refinement/positive_rules.hpp"
 
 namespace cref::prover {
 
@@ -187,6 +190,34 @@ int lex_compare(const std::vector<RankComponent>& comps, const StateVec& s,
 /// Sets `*why` (when non-null) and returns false — the validators'
 /// rejection idiom.
 bool reject(std::string* why, std::string msg);
+
+/// Mode A of both validators: every transition of Sigma (valuations in
+/// packing order, moves by gcl::for_each_move) is put to the rules of
+/// refinement/positive_rules.hpp. Besides the rules' questions, `view`
+/// gives its image type `Image`, `image(s, out)` and
+/// `message(breach, action)`, the rejection at the first breach.
+template <class View>
+bool replay(const gcl::SystemAst& ast, const std::vector<int>& cards, View& view,
+            std::string* why) {
+  StateVec s, post;
+  typename View::Image u{}, v{};
+  rules::Breach breach = rules::Breach::kNone;
+  std::string action;  // of the breaking edge
+  gcl::for_each_valuation(gcl::all_vars(cards.size()), cards, s, [&](const StateVec& sv) {
+    view.image(sv, u);
+    bool dead = true;
+    gcl::for_each_move(ast, cards, sv, post, [&](std::size_t i, const StateVec& t) {
+      dead = false;
+      view.image(t, v);
+      breach = rules::check_edge(view, sv, t, u, v);
+      if (breach != rules::Breach::kNone) action = ast.actions[i].name;
+      return breach == rules::Breach::kNone;
+    });
+    if (breach == rules::Breach::kNone) breach = rules::check_deadlock(view, u, dead);
+    return breach == rules::Breach::kNone;
+  });
+  return breach == rules::Breach::kNone || reject(why, view.message(breach, action));
+}
 
 /// Mode-B re-derivation of one action's rank site: for the first
 /// `count` components, Delta <= 0 — at the last one Delta < 0 when

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "gcl/compile.hpp"
 #include "gcl/diag.hpp"
@@ -11,6 +11,7 @@
 #include "prover/interference.hpp"
 #include "prover/obligations.hpp"
 #include "prover/templates.hpp"
+#include "refinement/reachability.hpp"
 
 namespace cref::prover {
 
@@ -90,7 +91,7 @@ EnumRows enumerate_action(const AlphaCtx& ctx, std::size_t ai, std::size_t budge
         out.stutter_rows.push_back(sv);
       return true;
     }
-    if (find_direct_match(ctx, img_s, img_t) >= 0) {
+    if (is_direct_match(ctx, img_s, img_t)) {
       ++out.exact_rows;
       return true;
     }
@@ -534,115 +535,83 @@ RefineResult prove_refinement(const gcl::SystemAst& c_ast, const gcl::SystemAst&
 
 namespace {
 
-/// Complete edge-level replay of Sigma_C: every transition is
-/// re-classified by direct abstract execution (nothing recorded in the
-/// certificate is trusted — only its ranking tuples are used, and those
-/// are re-checked semantically on every edge), deadlocks are compared
-/// point-wise, and when C declares init, compressed sources are shown
-/// unreachable by a concrete BFS rather than via the invariant.
-bool validate_mode_a(const gcl::SystemAst& c_ast, const gcl::SystemAst& a_ast,
-                     const gcl::AlphaSpec& alpha, const RefinementCertificate& cert,
-                     std::string* why) {
-  const AlphaCtx ctx(c_ast, a_ast, alpha);
-  const std::size_t n = c_ast.vars.size();
-  const Packing pack(ctx.c_cards);
-  const std::vector<std::size_t> all = gcl::all_vars(n);
-
-  std::unordered_set<std::size_t> comp_sources;
-  StateVec s, post, img_s, img_t;
-  std::string reason;  // nonempty: rejected
-  gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
-    bool has_move = false;
-    for (const gcl::ActionAst& act : c_ast.actions) {
-      if (!truthy(act.guard, sv)) continue;
-      gcl::step(act, ctx.c_cards, sv, post);
-      if (post == sv) continue;
-      has_move = true;
-      gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
-      gcl::alpha_image(ctx.alpha, ctx.a, post, img_t);
-      if (img_s == img_t) {
-        if (!a_is_deadlock(ctx, img_s) &&
-            lex_compare(cert.stutter_components, sv, post) != -1) {
-          reason = "a live stutter step of " + act.name +
-                   " does not decrease the stutter ranking";
-          return false;
-        }
-        if (!cert.visible_components.empty() &&
-            lex_compare(cert.visible_components, sv, post) == +1) {
-          reason = "a stutter step of " + act.name + " increases the visible ranking";
-          return false;
-        }
-        continue;
-      }
-      if (find_direct_match(ctx, img_s, img_t) >= 0) {
-        if (!cert.visible_components.empty() &&
-            lex_compare(cert.visible_components, sv, post) == +1) {
-          reason = "an exact step of " + act.name + " increases the visible ranking";
-          return false;
-        }
-        continue;
-      }
-      bool exhausted = false;
-      const auto path = find_a_path(ctx, img_s, img_t, &exhausted);
-      if (!path) {
-        reason = exhausted ? "an Invalid edge exists under " + act.name
-                           : "abstract BFS cap hit replaying " + act.name;
-        return false;
-      }
-      comp_sources.insert(pack.encode(sv));
-      if (cert.visible_components.empty() ||
-          lex_compare(cert.visible_components, sv, post) != -1) {
-        reason = "a compressed step of " + act.name +
-                 " does not strictly decrease the visible ranking";
-        return false;
-      }
-    }
-    if (!has_move) {
-      gcl::alpha_image(ctx.alpha, ctx.a, sv, img_s);
-      if (!a_is_deadlock(ctx, img_s)) {
-        reason = "a C-deadlock maps to a live abstract state";
-        return false;
-      }
-    }
-    return true;
-  });
-  if (!reason.empty()) return reject(why, reason);
-
-  if (!comp_sources.empty() && c_ast.init) {
-    // reach(I_C) must avoid every compressed source (refinement_init
-    // bans Compressed inside the init region; the region is
-    // successor-closed, so source exclusion suffices).
-    std::vector<char> seen(pack.total, 0);
-    std::vector<std::size_t> queue;
-    gcl::for_each_valuation(all, ctx.c_cards, s, [&](const StateVec& sv) {
-      if (truthy(*c_ast.init, sv)) {
-        const std::size_t id = pack.encode(sv);
-        if (!seen[id]) {
-          seen[id] = 1;
-          queue.push_back(id);
-        }
-      }
+/// reach(I_C): every valuation satisfying C's init, closed under C's
+/// transitions; empty when C declares no init.
+util::DenseBitset reach_init(const gcl::SystemAst& c_ast, const std::vector<int>& cards,
+                             const Packing& pack) {
+  util::DenseBitset init(pack.total);
+  StateVec s, post;
+  if (c_ast.init)
+    gcl::for_each_valuation(gcl::all_vars(cards.size()), cards, s, [&](const StateVec& sv) {
+      if (truthy(*c_ast.init, sv)) init.set(pack.encode(sv));
       return true;
     });
-    StateVec cur;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      if (comp_sources.count(queue[head]))
-        return reject(why, "a compressed source is reachable from init");
-      pack.decode(queue[head], ctx.c_cards, cur);
-      for (const gcl::ActionAst& act : c_ast.actions) {
-        if (!truthy(act.guard, cur)) continue;
-        gcl::step(act, ctx.c_cards, cur, post);
-        if (post == cur) continue;
-        const std::size_t id = pack.encode(post);
-        if (!seen[id]) {
-          seen[id] = 1;
-          queue.push_back(id);
-        }
-      }
+  std::vector<StateId> succ;
+  return reachable_from(std::move(init), [&](StateId id) -> const std::vector<StateId>& {
+    pack.decode(id, cards, s);
+    succ.clear();
+    gcl::for_each_move(c_ast, cards, s, post, [&](std::size_t, const StateVec& t) {
+      succ.push_back(pack.encode(t));
+      return true;
+    });
+    return succ;
+  });
+}
+
+/// Mode A's answers to the rules of refinement/positive_rules.hpp, from
+/// direct execution of both programs: images through alpha, "follows
+/// A" by a direct abstract match, the A-path by the abstract BFS, rho
+/// and sigma the certificate's visible and stutter tuples, and the
+/// region reach(I_C), searched when the first edge off A asks for it
+/// (empty when C declares no init). Nothing else the certificate stores
+/// is trusted.
+struct ReplayView {
+  using Image = StateVec;
+  static constexpr bool kRanked = true, kAPaths = true, kStoredRegion = false;
+  const AlphaCtx& ctx;
+  const RefinementCertificate& cert;
+  const Packing pack;
+  std::optional<util::DenseBitset> region = std::nullopt;  // reach(I_C), once searched
+  bool exhausted = false;  // the last A-path search covered A
+
+  void image(const StateVec& s, StateVec& out) const {
+    gcl::alpha_image(ctx.alpha, ctx.a, s, out);
+  }
+  bool in_region(const StateVec& s) {
+    if (!region) region = reach_init(ctx.c, ctx.c_cards, pack);
+    return region->test(pack.encode(s));
+  }
+  int rho(const StateVec& s, const StateVec& t) const {
+    return lex_compare(cert.visible_components, s, t);
+  }
+  int sigma(const StateVec& s, const StateVec& t) const {
+    return lex_compare(cert.stutter_components, s, t);
+  }
+  bool follows(const StateVec& u, const StateVec& v) const {
+    return u == v || is_direct_match(ctx, u, v);
+  }
+  bool a_path(const StateVec&, const StateVec&, const StateVec& u, const StateVec& v) {
+    return find_a_path(ctx, u, v, &exhausted).has_value();
+  }
+  bool live(const StateVec& u) const { return !a_is_deadlock(ctx, u); }
+  bool may_end(const StateVec& u) const { return a_is_deadlock(ctx, u); }
+  std::string message(rules::Breach b, const std::string& action) const {
+    const std::string step = "a step of " + action;
+    switch (b) {
+      case rules::Breach::kRhoIncrease: return step + " increases the visible ranking";
+      case rules::Breach::kNoAPath:
+        return exhausted ? "an Invalid edge exists under " + action
+                         : "abstract BFS cap hit replaying " + action;
+      case rules::Breach::kKeepsRho:
+        return step + " off A does not strictly decrease the visible ranking";
+      case rules::Breach::kOffA: return step + " from reach(I_C) does not follow A";
+      case rules::Breach::kSigma:
+        return "a live stutter step of " + action + " does not decrease the stutter ranking";
+      default:  // rule 4; reach(I_C) is closed, so no edge leaves the region
+        return "a C-deadlock maps to a live abstract state";
     }
   }
-  return true;
-}
+};
 
 /// Symbolic re-derivation above the replay budget: every recorded
 /// classification is re-discharged from validator-recomputed contexts,
@@ -813,10 +782,12 @@ bool validate_refinement_certificate(const gcl::SystemAst& c_ast,
     for (std::size_t i : sup)
       if (i >= nc) return reject(why, "deadlock support out of range");
 
-  const std::size_t total = gcl::valuation_count(gcl::all_vars(n), cards, cert.budget);
-  if (total <= cert.budget)
-    return validate_mode_a(c_ast, a_ast, alpha, cert, why);
-  return validate_mode_b(c_ast, a_ast, alpha, cert, why);
+  if (gcl::valuation_count(gcl::all_vars(n), cards, cert.budget) > cert.budget)
+    return validate_mode_b(c_ast, a_ast, alpha, cert, why);
+  // Mode A: complete edge-level replay of Sigma_C through the rules.
+  const AlphaCtx ctx(c_ast, a_ast, alpha);
+  ReplayView view{ctx, cert, Packing(cards)};
+  return replay(c_ast, cards, view, why);
 }
 
 // --- rendering --------------------------------------------------------

@@ -41,11 +41,14 @@
 //
 // Trust story (mirroring prove.hpp): validate_refinement_certificate
 // re-derives every claim independently of the synthesis search — by
-// complete edge-level replay of Sigma_C when it fits the budget (mode
-// A: the certificate's rankings are re-checked semantically on every
-// edge, matches are re-derived by direct abstract execution, nothing
-// stored is trusted), and by symbolic re-derivation from
-// validator-recomputed contexts above it (mode B).
+// complete edge-level replay of Sigma_C when it fits the budget, and
+// by symbolic re-derivation from validator-recomputed contexts above it
+// (mode B). Mode A puts every transition to the rules of
+// refinement/positive_rules.hpp, the ones the job-certificate validator
+// applies: rho and sigma are the certificate's visible and stutter
+// tuples, "follows A" and the A-path are re-derived by direct abstract
+// execution, the region is reach(I_C), searched by the validator once
+// an edge leaves A, and nothing else stored is trusted.
 
 #include <cstddef>
 #include <optional>

@@ -54,7 +54,11 @@ std::vector<gcl::Diagnostic> check_superposition(const gcl::SystemAst& wrapper,
 
   if (!wrapper.init) {
     const ProveResult r = prove_termination(wrapper, opts.prove);
-    if (r.proved && r.certificate) {
+    std::string why = r.failures.empty() ? "no ranking found" : r.failures.front();
+    // Never report an unvalidated proof.
+    const bool proved = r.proved && validate_certificate(wrapper, nullptr, *r.certificate, &why);
+    if (r.proved && !proved) why = "validator rejected the certificate: " + why;
+    if (proved) {
       std::ostringstream msg;
       msg << "wrapper termination proved: ranking (";
       for (std::size_t i = 0; i < r.certificate->components.size(); ++i)
@@ -63,7 +67,6 @@ std::vector<gcl::Diagnostic> check_superposition(const gcl::SystemAst& wrapper,
       diags.push_back({gcl::Rule::WrapperNonterminating, gcl::Severity::Note,
                        gcl::SourceLoc{}, msg.str(), ""});
     } else {
-      std::string why = r.failures.empty() ? "no ranking found" : r.failures.front();
       diags.push_back({gcl::Rule::WrapperNonterminating, gcl::Severity::Warning,
                        gcl::SourceLoc{},
                        "wrapper computation is not provably finite: " + why,

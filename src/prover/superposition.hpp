@@ -6,7 +6,8 @@
 //
 //   wrapper-nonterminating   W's own computation must be finite — W may
 //                            only correct, never compute forever.
-//                            Checked with prove_termination; a proof is
+//                            Checked with prove_termination; a proof
+//                            that validate_certificate accepts is
 //                            reported as a Note naming the ranking.
 //   wrapper-writes-foreign-var
 //                            a wrapper action at process p must not

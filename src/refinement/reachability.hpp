@@ -17,34 +17,32 @@ namespace cref {
 // stay valid until the next call). The TransitionGraph overloads below
 // are the same searches over a materialized graph.
 
-/// Reachable set from `sources` (inclusive), as a dense bitset indexed by
-/// StateId. Implemented as a word-parallel frontier sweep: the frontier,
-/// visited set and next frontier are all uint64_t bitsets, so membership
-/// tests and frontier enumeration touch 64 states per word.
+/// Reachable set from the states set in `visited` (inclusive), as a dense
+/// bitset indexed by StateId. A FIFO search with the bitset as its seen
+/// set: O(states + edges) at any depth, and the queue holds only the
+/// states found but not yet expanded.
 template <typename Succ>
-util::DenseBitset reachable_from(StateId n, const std::vector<StateId>& sources, Succ&& succ) {
-  util::DenseBitset visited(n);
-  util::DenseBitset frontier(n);
-  util::DenseBitset next(n);
-  for (StateId s : sources) {
-    if (!visited.test(s)) {
-      visited.set(s);
-      frontier.set(s);
+util::DenseBitset reachable_from(util::DenseBitset visited, Succ&& succ) {
+  std::deque<StateId> queue;
+  visited.for_each_set([&](std::size_t s) { queue.push_back(static_cast<StateId>(s)); });
+  while (!queue.empty()) {
+    const StateId s = queue.front();
+    queue.pop_front();
+    for (StateId t : succ(s)) {
+      if (visited.test(t)) continue;
+      visited.set(t);
+      queue.push_back(t);
     }
   }
-  while (frontier.any()) {
-    next.reset_all();
-    frontier.for_each_set([&](std::size_t s) {
-      for (StateId t : succ(s)) {
-        if (!visited.test(t)) {
-          visited.set(t);
-          next.set(t);
-        }
-      }
-    });
-    std::swap(frontier, next);
-  }
   return visited;
+}
+
+/// Reachable set from `sources` (inclusive) over states [0, n).
+template <typename Succ>
+util::DenseBitset reachable_from(StateId n, const std::vector<StateId>& sources, Succ&& succ) {
+  util::DenseBitset seeds(n);
+  for (StateId s : sources) seeds.set(s);
+  return reachable_from(std::move(seeds), std::forward<Succ>(succ));
 }
 
 /// Shortest path from any state in `sources` to `target` (inclusive of

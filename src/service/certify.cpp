@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "refinement/checker.hpp"
+#include "refinement/positive_rules.hpp"
 #include "refinement/reachability.hpp"
 #include "refinement/scc.hpp"
 #include "util/bitset.hpp"
@@ -186,112 +187,93 @@ struct Ctx {
   StateId img(StateId s) const { return alpha.empty() ? s : alpha[s]; }
 };
 
-/// Membership of the A-states reachable from `roots`, roots included:
-/// the validator's own search of T_A, so no reachability claim is ever
-/// read from an entry.
-std::vector<char> a_reach(const Ctx& x, const std::vector<StateId>& roots) {
-  std::vector<char> seen(x.an, 0);
-  std::vector<StateId> work;
-  for (StateId r : roots)
-    if (r < x.an && !seen[r]) {
-      seen[r] = 1;
-      work.push_back(r);
-    }
-  while (!work.empty()) {
-    const StateId u = work.back();
-    work.pop_back();
-    for (StateId v : x.a.successors(u))
-      if (!seen[v]) {
-        seen[v] = 1;
-        work.push_back(v);
-      }
-  }
-  return seen;
-}
-
-bool is_a_path(const Ctx& x, const std::vector<StateId>& path, StateId from, StateId to) {
-  if (path.size() < 2 || path.front() != from || path.back() != to) return false;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i)
-    if (path[i] >= x.an || !x.a.has_edge(path[i], path[i + 1])) return false;
+bool is_path(const TransitionGraph& g, const std::vector<StateId>& states) {
+  for (StateId s : states)
+    if (s >= g.num_states()) return false;
+  for (std::size_t i = 0; i + 1 < states.size(); ++i)
+    if (!g.has_edge(states[i], states[i + 1])) return false;
   return true;
 }
 
-/// The one positive validator: a single pass over C's edges applies
-/// the four rules of certify.hpp to whichever components `r` carries.
-/// Instantiated per relation so the loop carries no relation tests.
+/// The job certificate as the rules of refinement/positive_rules.hpp
+/// read it: stored tables over C, A's graph, and R_A for stabilizing.
+template <Relation r>
+struct StoredView {
+  static constexpr bool kRanked = has_rho(r);
+  static constexpr bool kAPaths = r == Relation::kConvergence;
+  static constexpr bool kStab = r == Relation::kStabilizing;
+  static constexpr bool kStoredRegion = init_scoped(r);
+  const Ctx& x;
+  const JobCertificate& cert;
+  util::DenseBitset ra;       // R_A, stabilizing only
+  std::size_t next_path = 0;  // convergence: the k-th edge off A owns path k
+
+  bool in_region(StateId s) const { return kStoredRegion && cert.c_region[s]; }
+  int rho(StateId s, StateId t) const { return kRanked ? rules::compare(cert.rho, s, t) : 0; }
+  int sigma(StateId s, StateId t) const { return rules::compare(cert.sigma, s, t); }
+  bool follows(StateId u, StateId v) const {
+    return (!kStab || (ra[u] && ra[v])) && (u == v || x.a.has_edge(u, v));
+  }
+  bool a_path(StateId s, StateId t, StateId u, StateId v) {
+    if (next_path >= cert.compressed.size()) return false;
+    const JobCertificate::APath& p = cert.compressed[next_path++];
+    return p.s == s && p.t == t && p.path.size() >= 2 && p.path.front() == u &&
+           p.path.back() == v && is_path(x.a, p.path);
+  }
+  bool live(StateId u) const { return !x.a.is_deadlock(u); }
+  bool may_end(StateId u) const { return x.a.is_deadlock(u) && (!kStab || ra[u]); }
+};
+
+const char* breach_message(rules::Breach b, Relation r) {
+  switch (b) {
+    case rules::Breach::kLeavesRegion: return "certificate: region is not closed under T_C";
+    case rules::Breach::kRhoIncrease: return "certificate: edge increases rho";
+    case rules::Breach::kNoAPath: return "certificate: compressed edge lacks its A-path";
+    case rules::Breach::kKeepsRho: return "certificate: edge off A does not decrease rho";
+    case rules::Breach::kOffA: return "certificate: edge does not follow A";
+    case rules::Breach::kSigma: return "certificate: stutter edge does not decrease sigma";
+    default:  // rule 4
+      return r == Relation::kStabilizing
+                 ? "certificate: C deadlock image is not an A deadlock in R_A"
+                 : "certificate: C deadlock image is not an A deadlock";
+  }
+}
+
+/// The one positive validator: a single pass over C's edges puts each
+/// to the rules, with whichever components `r` carries. Instantiated
+/// per relation so the loop carries no relation tests.
 template <Relation r>
 CheckResult validate_positive(const Ctx& x, const JobCertificate& cert) {
-  constexpr bool ranked = has_rho(r);
-  constexpr bool scoped = init_scoped(r);
-  constexpr bool stab = r == Relation::kStabilizing;
   if (cert.sigma.size() != x.cn)
     return CheckResult::fail("certificate: sigma size does not match C");
-  if (ranked && cert.rho.size() != x.cn)
+  if (has_rho(r) && cert.rho.size() != x.cn)
     return CheckResult::fail("certificate: rho size does not match C");
-  if (scoped) {
+  if (init_scoped(r)) {
     if (cert.c_region.size() != x.cn)
       return CheckResult::fail("certificate: region size does not match C");
     for (StateId i : x.c_init)
       if (!cert.c_region[i])
         return CheckResult::fail("certificate: region omits an initial state", Trace{{i}});
   }
-  std::vector<char> ra;  // R_A, stabilizing only
-  if (stab) {
+  StoredView<r> view{x, cert, {}};
+  if (r == Relation::kStabilizing) {
     if (x.a_init.empty())
       return CheckResult::fail("certificate: stabilizing claim with empty I_A");
-    ra = a_reach(x, x.a_init);
+    view.ra = reachable_from(x.a, x.a_init);
   }
 
-  std::size_t next_path = 0;  // convergence: the k-th edge off A owns path k
   for (StateId s = 0; s < x.cn; ++s) {
-    const bool in_region = scoped && cert.c_region[s];
-    if (r == Relation::kRefinementInit && !in_region) continue;
+    if (r == Relation::kRefinementInit && !view.in_region(s)) continue;
     const StateId u = x.img(s);
-    for (StateId t : x.c.successors(s)) {
-      const StateId v = x.img(t);
-      // has_edge is the costly test, so "follows A" is decided only
-      // where a rule asks.
-      auto follows = [&] {
-        return (!stab || (ra[u] && ra[v])) && (u == v || x.a.has_edge(u, v));
-      };
-      const char* why = nullptr;
-      if (in_region && !cert.c_region[t]) {  // rule 2
-        why = "certificate: region is not closed under T_C";
-      } else if (ranked && cert.rho[t] > cert.rho[s]) {  // rule 1
-        why = "certificate: edge increases rho";
-      } else if (ranked && !in_region && cert.rho[t] < cert.rho[s]) {
-        // Off every cycle the edge need not follow A, but convergence
-        // still owes the A-path that makes it Compressed.
-        if (r == Relation::kConvergence && !follows()) {
-          const JobCertificate::APath* p =
-              next_path < cert.compressed.size() ? &cert.compressed[next_path++] : nullptr;
-          if (!p || p->s != s || p->t != t || !is_a_path(x, p->path, u, v))
-            why = "certificate: compressed edge lacks its A-path";
-        }
-      } else if (!follows()) {  // rules 1 and 2
-        why = ranked && !in_region ? "certificate: edge off A does not decrease rho"
-                                   : "certificate: edge does not follow A";
-      }
-      if (!why && u == v && !x.a.is_deadlock(u) && cert.sigma[t] >= cert.sigma[s])  // rule 3
-        why = "certificate: stutter edge does not decrease sigma";
-      if (why) return CheckResult::fail(why, Trace{{s, t}});
-    }
-    if (x.c.is_deadlock(s) && !x.a.is_deadlock(u))  // rule 4
-      return CheckResult::fail("certificate: C deadlock image is not an A deadlock",
-                               Trace{{s}});
-    if (stab && x.c.is_deadlock(s) && !ra[u])
-      return CheckResult::fail("certificate: C deadlock image is not reachable in A",
-                               Trace{{s}});
+    for (StateId t : x.c.successors(s))
+      if (const rules::Breach b = rules::check_edge(view, s, t, u, x.img(t));
+          b != rules::Breach::kNone)
+        return CheckResult::fail(breach_message(b, r), Trace{{s, t}});
+    if (const rules::Breach b = rules::check_deadlock(view, u, x.c.is_deadlock(s));
+        b != rules::Breach::kNone)
+      return CheckResult::fail(breach_message(b, r), Trace{{s}});
   }
   return CheckResult::ok();
-}
-
-bool is_c_path(const Ctx& x, const std::vector<StateId>& states) {
-  for (StateId s : states)
-    if (s >= x.cn) return false;
-  for (std::size_t i = 0; i + 1 < states.size(); ++i)
-    if (!x.c.has_edge(states[i], states[i + 1])) return false;
-  return true;
 }
 
 bool in_c_init(const Ctx& x, StateId s) {
@@ -305,7 +287,7 @@ bool in_c_init(const Ctx& x, StateId s) {
 CheckResult check_rooted(const Ctx& x, const std::vector<StateId>& w,
                          const JobCertificate& cert) {
   if (in_c_init(x, w.front())) return CheckResult::ok();
-  if (cert.init_path.empty() || !is_c_path(x, cert.init_path) ||
+  if (cert.init_path.empty() || !is_path(x.c, cert.init_path) ||
       !in_c_init(x, cert.init_path.front()) || cert.init_path.back() != w.front())
     return CheckResult::fail("certificate: witness is not rooted at an initial state of C");
   return CheckResult::ok();
@@ -320,7 +302,7 @@ CheckResult validate_negative(const Ctx& x, Relation r, const Trace& witness,
     return CheckResult::fail("certificate: no-a-init evidence for a relation with I_A");
   }
 
-  if (w.empty() || !is_c_path(x, w))
+  if (w.empty() || !is_path(x.c, w))
     return CheckResult::fail("certificate: witness is not a path of C");
   const bool cycle = w.size() >= 2 && w.front() == w.back();
 
@@ -379,7 +361,7 @@ CheckResult validate_negative(const Ctx& x, Relation r, const Trace& witness,
       const StateId iu = x.img(w[w.size() - 2]), iv = x.img(w.back());
       if (iu == iv)
         return CheckResult::fail("certificate: invalid-edge endpoints stutter");
-      if (a_reach(x, {iu})[iv])
+      if (reachable_from(x.a, {iu}).test(iv))
         return CheckResult::fail("certificate: target image is reachable in A after all");
       if (r == Relation::kRefinementInit || r == Relation::kEventually)
         return check_rooted(x, w, cert);
@@ -389,7 +371,7 @@ CheckResult validate_negative(const Ctx& x, Relation r, const Trace& witness,
       if (r != Relation::kStabilizing)
         return CheckResult::fail(
             "certificate: unreachable-image evidence only refutes stabilization");
-      const std::vector<char> ra = a_reach(x, x.a_init);
+      const util::DenseBitset ra = reachable_from(x.a, x.a_init);
       if (w.size() == 1) {
         if (!x.c.is_deadlock(w[0]))
           return CheckResult::fail("certificate: single-state evidence is not a C deadlock");

@@ -10,20 +10,16 @@
 // A positive certificate is at most four components, each indexed by
 // C-state: `sigma` (always), `rho` (convergence, eventually,
 // stabilizing), `region` (the three init-scoped relations) and one
-// A-path per compressed edge (convergence). The validator checks them
-// in ONE pass over C's edges. Write u, v for the images of an edge
-// s -> t; the edge FOLLOWS A when u == v or (u, v) is in T_A, and for
-// stabilizing also u, v are in R_A = reachable(A, I_A), which the
-// validator computes itself. The rules:
-//
-//   1. With rho, every edge has rho(t) <= rho(s), and one that does not
-//      follow A has rho(t) < rho(s) (convergence: and its A-path).
-//      Without rho, every edge follows A.
-//   2. From a region state, t is in the region and the edge follows A;
-//      refinement-init checks nothing outside its region.
-//   3. A stutter edge whose image is not an A-deadlock has
-//      sigma(t) < sigma(s).
-//   4. A deadlock of C maps to a deadlock of A (stabilizing: in R_A).
+// A-path per compressed edge (convergence). The validator puts every
+// edge of C, in ONE pass, to the four rules of
+// refinement/positive_rules.hpp, which the provers' complete replays
+// share; this validator is the view that reads the stored tables. Write
+// u, v for the images of an edge s -> t; the edge FOLLOWS A when
+// u == v or (u, v) is in T_A, and for stabilizing also u, v are in
+// R_A = reachable(A, I_A), which the validator computes itself. A
+// stutter at u owes a sigma decrease unless u is an A-deadlock, and a
+// deadlock of C may map only to an A-deadlock (stabilizing: in R_A).
+// Refinement-init checks nothing outside its region.
 //
 // Why each accepted certificate is sound:
 //

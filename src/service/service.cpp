@@ -202,7 +202,7 @@ JobOutcome CheckService::run_with(const Job& job, const EngineOptions& engine) {
     alpha = &kIdentity;
     if (c->num_states() != a->num_states())
       throw std::invalid_argument(
-          "service: GCL job sides have different state-space sizes (identity alpha)");
+          "GCL job sides have different state-space sizes (identity alpha)");
   }
 
   const std::optional<CacheEntry>& entry = cached;

@@ -46,6 +46,14 @@ std::size_t Cli::get_size(const std::string& key, std::size_t fallback) const {
   return v < 0 ? fallback : static_cast<std::size_t>(v);
 }
 
+std::optional<std::size_t> Cli::get_count(const std::string& key,
+                                           std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const long v = get_int(key, 0);
+  if (v < 1) return std::nullopt;
+  return static_cast<std::size_t>(v);
+}
+
 bool Cli::has(const std::string& key) const { return options_.count(key) > 0; }
 
 std::string Cli::unknown_option(std::initializer_list<const char*> known) const {

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +31,11 @@ class Cli {
   /// Unsigned variant of get_int (negative values fall back), for size
   /// knobs like --threads / --chunk.
   std::size_t get_size(const std::string& key, std::size_t fallback) const;
+
+  /// The value of `--key` as a whole number of at least 1: `fallback` if
+  /// absent, std::nullopt if given but malformed, zero or negative, for
+  /// a knob that has no meaning below 1 (--budget).
+  std::optional<std::size_t> get_count(const std::string& key, std::size_t fallback) const;
 
   /// Returns true if `--key` was passed (with or without a value).
   bool has(const std::string& key) const;

@@ -3,7 +3,8 @@
 # (file, --werror) combination, --format=text, json and sarif must exit
 # identically. Referenced from tools/gcl_lint.cpp — the verdict is
 # computed once via should_fail() before the format switch, and this
-# test keeps it that way.
+# test keeps it that way. A --budget below 1 or not a number is a usage
+# error (exit 2).
 set -u
 
 LINT="$1"
@@ -58,5 +59,11 @@ check "$WORK/warn.gcl" 0
 check "$WORK/warn.gcl" 1 --werror
 check "$WORK/broken.gcl" 1
 check "$WORK/broken.gcl" 1 --werror
+# A zero, negative or non-numeric budget is a usage error, whatever
+# the file.
+check "$WORK/clean.gcl" 2 --budget 0
+check "$WORK/warn.gcl" 2 --prove --budget 0
+check "$WORK/clean.gcl" 2 --budget -5
+check "$WORK/clean.gcl" 2 --budget=many
 
 exit $((fails > 0))

@@ -5,6 +5,7 @@
 # is a usage error, and so is an unknown option: a misspelled --alpha
 # must not prove the identity-alpha relation instead, and gcl_prove's
 # deleted --refine flag must not prove termination of its last file.
+# So is a budget below 1 or not a number, in both provers.
 set -u
 
 REFINE="$1"
@@ -46,5 +47,12 @@ check 2 "$REFINE" "$WORK/missing.gcl" "$G/naive_ring_n3.gcl"
 check 2 "$REFINE" --alpah "$G/kstate_utr_n4.alpha" "$G/kstate_n5.gcl" \
   "$EXAMPLES/refine/work_ring_n5.gcl"
 check 2 "$PROVE" --refine "$G/w2_any_utr.gcl" "$G/w2_utr.gcl"
+# A zero budget is refused up front: the provers would otherwise run
+# and their own validators refuse the certificate ("no budget"). A
+# negative or non-numeric one must not run with the default instead.
+check 2 "$REFINE" --budget 0 "$G/w2_any_utr.gcl" "$G/w2_utr.gcl"
+check 2 "$REFINE" --budget -1 "$G/w2_any_utr.gcl" "$G/w2_utr.gcl"
+check 2 "$PROVE" --budget 0 --terminates "$G/w1_utr.gcl"
+check 2 "$PROVE" --budget 2e9 --terminates "$G/w1_utr.gcl"
 
 exit $((fails > 0))

@@ -120,6 +120,21 @@ Proved proved_jump_rows() {
   return p;
 }
 
+/// kJumpC against fall_chain under the default budget: |Sigma| = 192
+/// fits it, so this certificate validates in mode A (complete replay).
+/// `work` stutters at the live image a == 1, `step` is an exact fall
+/// and `jump` the compressed one.
+Proved proved_jump_chain_mode_a() {
+  Proved p{gcl::parse(kJumpC), gcl::parse(kJumpA), {}, {}};
+  p.alpha = gcl::parse_alpha("alpha proj {\n  a := p;\n  invariant : p < 2;\n}\n",
+                             p.c, p.a);
+  RefineResult r = prove_refinement(p.c, p.a, p.alpha);
+  EXPECT_EQ(r.verdict, RefineVerdict::Proved)
+      << (r.failures.empty() ? std::string("no failure recorded") : r.failures[0]);
+  p.cert = std::move(*r.certificate);
+  return p;
+}
+
 ::testing::AssertionResult rejected(const Proved& p, const RefinementCertificate& bad) {
   std::string why;
   if (validate_refinement_certificate(p.c, p.a, p.alpha, bad, &why))
@@ -141,10 +156,14 @@ Proved proved_jump_rows() {
 TEST(RefineTamper, IntactCertificatesValidateInBothModes) {
   const Proved ka = proved_kstate();
   const Proved wr = proved_work_ring();
+  const Proved jc = proved_jump_chain_mode_a();
+  ASSERT_FALSE(jc.cert.stutter_components.empty());
   std::string why;
   EXPECT_TRUE(validate_refinement_certificate(ka.c, ka.a, ka.alpha, ka.cert, &why))
       << why;
   EXPECT_TRUE(validate_refinement_certificate(wr.c, wr.a, wr.alpha, wr.cert, &why))
+      << why;
+  EXPECT_TRUE(validate_refinement_certificate(jc.c, jc.a, jc.alpha, jc.cert, &why))
       << why;
 }
 
@@ -357,6 +376,94 @@ TEST(RefineTamper, StrippedVisibleRankingIsRejected) {
   RefinementCertificate bad = p.cert;
   bad.visible_components.clear();
   EXPECT_TRUE(rejected(p, bad));
+}
+
+// --- scenario 10b: mode A, one rule at a time --------------------------
+// Each certificate below breaks exactly one rule of the replay
+// (refinement/positive_rules.hpp), so each is rejected by that rule
+// and by no other.
+
+TEST(RefineTamper, VisibleIncreaseIsRejectedModeA) {
+  const Proved p = proved_kstate();
+  {
+    // A second visible component c0 rises on bottom's exact steps,
+    // where the privilege count ties. The compressed steps still lower
+    // the count, so only the non-increase every edge owes rejects it.
+    RefinementCertificate bad = p.cert;
+    bad.visible_components.push_back(
+        {RankComponent::Kind::Template, "c0", gcl::parse_expr_over("c0", p.c), {}});
+    EXPECT_TRUE(rejected_by(p, bad, "a step of bottom increases the visible ranking"));
+  }
+  {
+    RefinementCertificate bad = p.cert;  // the privilege count, negated
+    bad.visible_components[0].expr =
+        make_unary(gcl::Op::Neg, std::move(bad.visible_components[0].expr));
+    EXPECT_TRUE(rejected_by(p, bad, "a step of bottom increases the visible ranking"));
+  }
+}
+
+TEST(RefineTamper, MissingAPathIsRejectedModeA) {
+  // The genuine certificate, offered for a UTR whose pass3 never fires:
+  // up1's privilege merge at (c0, c1, c2, c3) = (0, 1, 0, 0) needs pass3
+  // on its A-path, and the abstract BFS exhausts A without one.
+  Proved p = proved_kstate();
+  p.a.actions[3].guard = make_const(0);
+  EXPECT_TRUE(rejected_by(p, p.cert, "an Invalid edge exists under up1"));
+}
+
+TEST(RefineTamper, WidenedInitIsRejectedModeA) {
+  // The genuine certificate, offered for the same ring started from any
+  // c1: reach(I_C) now holds the three-privilege state (0, 1, 0, 0),
+  // whose compressed steps do not follow A.
+  Proved p = proved_kstate();
+  std::string c_text = util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" / "gcl" /
+                                       "dijkstra_kstate_n4.gcl");
+  const std::string init = "init : c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0;";
+  ASSERT_NE(c_text.find(init), std::string::npos);
+  c_text.replace(c_text.find(init), init.size(), "init : c0 == 0 && c2 == 0 && c3 == 0;");
+  p.c = gcl::parse(c_text);
+  p.alpha = gcl::parse_alpha(util::read_file(fs::path(CREF_SOURCE_DIR) / "examples" /
+                                             "gcl" / "kstate_utr_n4.alpha"),
+                             p.c, p.a);
+  EXPECT_TRUE(rejected_by(p, p.cert, "a step of bottom from reach(I_C) does not follow A"));
+}
+
+TEST(RefineTamper, CompressedStepReachedFromInitIsRejectedModeA) {
+  // The genuine certificate, offered for the chain started at p == 2
+  // with `jump` firing only at u == 63: the compressed step is not at
+  // an initial state, but `work` reaches it, so reach(I_C) holds it and
+  // it must follow A.
+  Proved p = proved_jump_chain_mode_a();
+  std::string c_text = kJumpC;
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"p == 2 -> p := 0", "p == 2 && u == 63 -> p := 0"},
+        {"init : p == 0 && u == 0", "init : p == 2 && u == 0"}}) {
+    ASSERT_NE(c_text.find(from), std::string::npos);
+    c_text.replace(c_text.find(from), from.size(), to);
+  }
+  p.c = gcl::parse(c_text);
+  p.alpha = gcl::parse_alpha("alpha proj {\n  a := p;\n  invariant : p < 2;\n}\n", p.c, p.a);
+  EXPECT_TRUE(rejected_by(p, p.cert, "a step of jump from reach(I_C) does not follow A"));
+}
+
+TEST(RefineTamper, FlattenedStutterRankingIsRejectedModeA) {
+  // work's stutter steps at the live image a == 1 owe a strict
+  // decrease; a constant tuple gives none.
+  const Proved p = proved_jump_chain_mode_a();
+  RefinementCertificate bad = p.cert;
+  for (RankComponent& c : bad.stutter_components) c.expr = make_const(0);
+  EXPECT_TRUE(rejected_by(p, bad,
+                          "a live stutter step of work does not decrease the stutter ranking"));
+}
+
+TEST(RefineTamper, DeadlockAtLiveImageIsRejectedModeA) {
+  // The genuine certificate, offered for the chain with `step` removed
+  // (its guard never holds): (p, u) = (1, 63) is then a C deadlock
+  // whose image a == 1 is live in A.
+  Proved p = proved_jump_chain_mode_a();
+  ASSERT_EQ(p.c.actions[1].name, "step");
+  p.c.actions[1].guard = make_const(0);
+  EXPECT_TRUE(rejected_by(p, p.cert, "a C-deadlock maps to a live abstract state"));
 }
 
 // --- scenario 11: structural nonsense --------------------------------

@@ -13,8 +13,8 @@
 // The graybox superposition side conditions of Theorems 3 and 5: a
 // wrapper may read any base variable but write only its own process's,
 // and its own computation must terminate. The shipped W1/W2 wrappers
-// pass both checks (with the termination proof surfaced as a Note); the
-// violations each produce their pinned diagnostic.
+// pass both checks (with the validated termination proof surfaced as a
+// Note); the violations each produce their pinned diagnostic.
 
 namespace cref::prover {
 namespace {
@@ -146,6 +146,26 @@ system flip_flop {
   const std::vector<gcl::Diagnostic> diags = check_superposition(wrapper, nullptr);
   ASSERT_TRUE(
       has_rule(diags, gcl::Rule::WrapperNonterminating, gcl::Severity::Warning));
+}
+
+TEST(SuperpositionTest, UnvalidatedTerminationProofIsNotReported) {
+  // Under a zero budget the prover still proves W1's termination by its
+  // abstract legs, but the validator refuses a certificate without a
+  // budget: the check must warn instead of noting the proof.
+  const gcl::SystemAst base = example("utr_n3.gcl");
+  SuperpositionOptions opts;
+  opts.prove.budget = 0;
+  ASSERT_TRUE(prove_termination(example("w1_utr.gcl"), opts.prove).proved);
+  const std::vector<gcl::Diagnostic> diags =
+      check_superposition(example("w1_utr.gcl"), &base, opts);
+  EXPECT_FALSE(has_rule(diags, gcl::Rule::WrapperNonterminating, gcl::Severity::Note));
+  bool found = false;
+  for (const gcl::Diagnostic& d : diags)
+    found |= d.rule == gcl::Rule::WrapperNonterminating &&
+             d.severity == gcl::Severity::Warning &&
+             d.message.find("validator rejected the certificate: certificate has no budget") !=
+                 std::string::npos;
+  EXPECT_TRUE(found);
 }
 
 TEST(SuperpositionTest, InitFilesSkipTheTerminationCheck) {

@@ -56,6 +56,27 @@ Proved proved_kstate() {
   return p;
 }
 
+/// x == 1 is reached from every state, but b leaves it: the prover
+/// proves convergence without closure, and validates in mode A.
+Proved proved_bounce() {
+  Proved p{gcl::parse(R"(
+system bounce {
+  var x : 0..2;
+  action a : x == 0 -> x := 1;
+  action b : x == 1 -> x := 2;
+  action c : x == 2 -> x := 1;
+}
+)"),
+           {},
+           {}};
+  p.target = predicate(p.ast, "x == 1");
+  ProveResult res = prove_convergence(p.ast, p.target);
+  EXPECT_TRUE(res.proved);
+  p.cert = std::move(*res.certificate);
+  EXPECT_FALSE(p.cert.closure_proved);
+  return p;
+}
+
 void expect_rejected(const Proved& p, const std::string& reason_fragment) {
   std::string why;
   EXPECT_FALSE(validate_certificate(p.ast, &p.target, p.cert, &why));
@@ -100,6 +121,24 @@ TEST(TamperTest, ZeroedTableRejected) {
   ASSERT_EQ(table.kind, RankComponent::Kind::Table);
   std::fill(table.table.begin(), table.table.end(), 0u);
   expect_rejected(p, "does not decrease the ranking");
+}
+
+TEST(TamperTest, ForgedClosureRejected) {
+  // Claiming closure turns the convergence proof into a stabilization
+  // proof; the replay sees b step out of the target.
+  Proved p = proved_bounce();
+  std::string why;
+  ASSERT_TRUE(validate_certificate(p.ast, &p.target, p.cert, &why)) << why;
+  p.cert.closure_proved = true;
+  expect_rejected(p, "closure violated by b");
+}
+
+TEST(TamperTest, DeadlockOutsideTargetRejected) {
+  // The certificate offered for the system without a's move: x == 0 is
+  // then stuck outside the target, which no ranking excuses.
+  Proved p = proved_bounce();
+  p.ast.actions[0].guard = make_const(0);
+  expect_rejected(p, "deadlock outside the target");
 }
 
 TEST(TamperTest, TruncatedTableRejected) {

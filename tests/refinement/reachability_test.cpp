@@ -84,6 +84,28 @@ TEST(ReachabilityTest, CrossesWordBoundaries) {
   EXPECT_FALSE(from_mid.test(63));
 }
 
+TEST(ReachabilityTest, FanOutsAndChainsFromSeveralSources) {
+  // 0 fans out to 1..99, which all enter a chain 100 -> ... -> 999; 500
+  // fans out again to 1000..1999, and 1999 -> 2000. The states above
+  // 2000 are reachable only from 2047.
+  const StateId n = 2048;
+  std::vector<std::pair<StateId, StateId>> edges;
+  for (StateId i = 1; i < 100; ++i) edges.insert(edges.end(), {{0, i}, {i, 100}});
+  for (StateId i = 100; i < 999; ++i) edges.emplace_back(i, i + 1);
+  for (StateId i = 1000; i < 2000; ++i) edges.emplace_back(500, i);
+  edges.emplace_back(1999, 2000);
+  for (StateId i = 2001; i < n; ++i) edges.emplace_back(2047, i);
+  TransitionGraph g = TransitionGraph::from_edges(n, std::move(edges));
+  auto reach = reachable_from(g, {0});
+  EXPECT_EQ(reach.count(), 2001u);
+  EXPECT_TRUE(reach.test(999) && reach.test(1500) && reach.test(2000));
+  EXPECT_FALSE(reach.test(2001) || reach.test(2047));
+  auto from_chain = reachable_from(g, {998, 2047});
+  EXPECT_EQ(from_chain.count(), 2u + 47u);
+  EXPECT_TRUE(from_chain.test(999) && from_chain.test(2046));
+  EXPECT_FALSE(from_chain.test(997) || from_chain.test(2000));
+}
+
 TEST(ReachabilityTest, LargeChainIterative) {
   // 100k-state chain: exercises the non-recursive BFS at depth.
   const StateId n = 100000;

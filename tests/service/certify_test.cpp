@@ -168,6 +168,21 @@ TEST(CertifyTest, TamperedConvergenceCertificateIsRejected) {
   }
 }
 
+TEST(CertifyTest, APathFiledUnderAnotherEdgeIsRejected) {
+  // The stored path 0 -> 1 -> 2 is a genuine A-path for the compressed
+  // edge 0 -> 2, but filed under C's edge 1 -> 2: path k must name the
+  // k-th edge off A.
+  Inst in = compressed();
+  RoundTrip rt = round_trip(in, Relation::kConvergence, true);
+  JobCertificate bad = rt.cert;
+  ASSERT_EQ(bad.compressed.size(), 1u);
+  ASSERT_EQ(bad.compressed[0].s, 0u);
+  bad.compressed[0].s = 1;
+  const CheckResult v = revalidate(in, Relation::kConvergence, rt, bad);
+  EXPECT_FALSE(v.holds);
+  EXPECT_EQ(v.reason, "certificate: compressed edge lacks its A-path");
+}
+
 TEST(CertifyTest, TamperedRegionIsRejected) {
   Inst in = init_scoped();
   RoundTrip rt = round_trip(in, Relation::kRefinementInit, true);
@@ -181,6 +196,77 @@ TEST(CertifyTest, TamperedRegionIsRejected) {
     bad.c_region.assign(bad.c_region.size(), 1);  // now includes the bad edge 2 -> 3
     EXPECT_FALSE(revalidate(in, Relation::kRefinementInit, rt, bad).holds);
   }
+}
+
+TEST(CertifyTest, TruncatedRegionIsRejected) {
+  // C = 0 -> 1 -> 2 against A = 0 -> 1 from I_C = {0}: the reachable
+  // edge 1 -> 2 is off A, so refinement-init fails. A forged positive
+  // certificate whose region stops at {0} holds I_C and checks nothing
+  // past it: only the region's closure under T_C rejects it.
+  Inst in;
+  in.c = TransitionGraph::from_edges(3, {{0, 1}, {1, 2}});
+  in.a = TransitionGraph::from_edges(3, {{0, 1}});
+  in.ci = in.ai = {0};
+  RefinementChecker rc(in.c, in.a, in.ci, in.ai, in.alpha);
+  ASSERT_FALSE(run_relation(rc, Relation::kRefinementInit).holds);
+  JobCertificate forged;
+  forged.sigma = {0, 0, 0};
+  forged.c_region = {1, 0, 0};
+  const CheckResult v = validate_job_certificate(Relation::kRefinementInit, true, Trace{},
+                                                 forged, in.c, in.a, in.ci, in.ai, in.alpha);
+  EXPECT_FALSE(v.holds);
+  EXPECT_EQ(v.reason, "certificate: region is not closed under T_C");
+}
+
+TEST(CertifyTest, RegionEdgeOffADespiteRhoDropIsRejected) {
+  // C = 0 -> 1 against A's two deadlocks from I_C = {0}: the reachable
+  // edge is off A, so eventually fails. A forged positive certificate
+  // lets rho drop along it; outside the region that would excuse the
+  // edge, but from a region state every edge must follow A.
+  Inst in;
+  in.c = TransitionGraph::from_edges(2, {{0, 1}});
+  in.a = TransitionGraph::from_edges(2, {});
+  in.ci = in.ai = {0};
+  RefinementChecker rc(in.c, in.a, in.ci, in.ai, in.alpha);
+  ASSERT_FALSE(run_relation(rc, Relation::kEventually).holds);
+  JobCertificate forged;
+  forged.sigma = {0, 0};
+  forged.rho = {1, 0};
+  forged.c_region = {1, 1};
+  const CheckResult v = validate_job_certificate(Relation::kEventually, true, Trace{}, forged,
+                                                 in.c, in.a, in.ci, in.ai, in.alpha);
+  EXPECT_FALSE(v.holds);
+  EXPECT_EQ(v.reason, "certificate: edge does not follow A");
+}
+
+TEST(CertifyTest, RhoIncreaseIsRejected) {
+  // rho rises along A's cycle edge 0 -> 1: the edge follows A, so only
+  // the non-increase every edge owes rejects it.
+  Inst in = stabilizing();
+  RoundTrip rt = round_trip(in, Relation::kStabilizing, true);
+  JobCertificate bad = rt.cert;
+  bad.rho[1] = bad.rho[0] + 1;
+  const CheckResult v = revalidate(in, Relation::kStabilizing, rt, bad);
+  EXPECT_FALSE(v.holds);
+  EXPECT_EQ(v.reason, "certificate: edge increases rho");
+}
+
+TEST(CertifyTest, DeadlockAtLiveImageIsRejected) {
+  // C = 0 -> 1 with 1 stuck, against A's cycle 0 <-> 1: the edge
+  // follows A, but C's deadlock maps to a live state of A, so everywhere
+  // fails. A forged positive certificate fails only rule 4.
+  Inst in;
+  in.c = TransitionGraph::from_edges(2, {{0, 1}});
+  in.a = TransitionGraph::from_edges(2, {{0, 1}, {1, 0}});
+  in.ci = in.ai = {0};
+  RefinementChecker rc(in.c, in.a, in.ci, in.ai, in.alpha);
+  ASSERT_FALSE(run_relation(rc, Relation::kEverywhere).holds);
+  JobCertificate forged;
+  forged.sigma = {0, 0};
+  const CheckResult v = validate_job_certificate(Relation::kEverywhere, true, Trace{}, forged,
+                                                 in.c, in.a, in.ci, in.ai, in.alpha);
+  EXPECT_FALSE(v.holds);
+  EXPECT_EQ(v.reason, "certificate: C deadlock image is not an A deadlock");
 }
 
 TEST(CertifyTest, TamperedStabilizingCertificateIsRejected) {

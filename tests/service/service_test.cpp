@@ -187,7 +187,9 @@ TEST(ServiceBatchTest, MismatchedGclSpacesThrow) {
   auto outs = svc.run_batch({Job::from_gcl(Relation::kEverywhere, two_vars, one_var)});
   ASSERT_EQ(outs.size(), 1u);
   EXPECT_FALSE(outs[0].result.holds);
-  EXPECT_NE(outs[0].result.reason.find("service:"), std::string::npos);
+  // One "service: " prefix, added where the batch contains the failure.
+  EXPECT_EQ(outs[0].result.reason,
+            "service: GCL job sides have different state-space sizes (identity alpha)");
 }
 
 TEST(ServiceBatchTest, OversizedSystemsAreCachedWithoutCertificates) {

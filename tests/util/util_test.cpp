@@ -53,5 +53,13 @@ TEST(CliTest, ParsesForms) {
   EXPECT_EQ(cli.get_int("mode", 7), 7);  // non-numeric falls back
 }
 
+TEST(CliTest, GetCountReportsValuesBelowOneAndMalformedOnes) {
+  const char* argv[] = {"prog", "--a=3", "--b=0", "--c=-2", "--d=2e9", "--e=x"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_count("a", 9), std::optional<std::size_t>(3));
+  EXPECT_EQ(cli.get_count("missing", 9), std::optional<std::size_t>(9));
+  for (const char* key : {"b", "c", "d", "e"}) EXPECT_EQ(cli.get_count(key, 9), std::nullopt);
+}
+
 }  // namespace
 }  // namespace cref::util

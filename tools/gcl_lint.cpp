@@ -34,6 +34,7 @@
 // exit identically (pinned by tests/cli/lint_exit_codes.sh).
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,7 +58,10 @@ enum class Format { Text, Json, Sarif };
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv, {"werror", "sets", "absint", "prove"});
-  if (cli.positional().empty()) {
+  const std::optional<std::size_t> budget =
+      cli.get_count("budget", gcl::AnalyzeOptions{}.exact_budget);
+  if (!budget) std::fprintf(stderr, "gcl_lint: --budget takes a whole number of at least 1\n");
+  if (!budget || cli.positional().empty()) {
     std::fprintf(stderr,
                  "usage: gcl_lint [--format=text|json|sarif] [--werror] [--sets] "
                  "[--absint] [--prove [--base FILE]] [--budget N] FILE.gcl...\n"
@@ -91,7 +95,7 @@ int main(int argc, char** argv) {
   }
   const bool werror = cli.has("werror");
   gcl::AnalyzeOptions opts;
-  opts.exact_budget = cli.get_size("budget", opts.exact_budget);
+  opts.exact_budget = *budget;
 
   gcl::SystemAst base_ast;
   bool have_base = false;

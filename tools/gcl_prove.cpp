@@ -25,6 +25,7 @@
 // validation failed, 2 usage error (an unknown option included).
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,7 +63,9 @@ int main(int argc, char** argv) {
   const std::string unknown =
       cli.unknown_option({"target", "enabled-one", "terminates", "budget", "format"});
   if (!unknown.empty()) std::fprintf(stderr, "gcl_prove: unknown option --%s\n", unknown.c_str());
-  if (!unknown.empty() || cli.positional().empty() || goals > 1) {
+  const std::optional<std::size_t> budget = cli.get_count("budget", prover::ProveOptions{}.budget);
+  if (!budget) std::fprintf(stderr, "gcl_prove: --budget takes a whole number of at least 1\n");
+  if (!unknown.empty() || !budget || cli.positional().empty() || goals > 1) {
     std::fprintf(stderr,
                  "usage: gcl_prove [--target PRED | --enabled-one | --terminates] "
                  "[--budget N] [--format text|json|sarif] FILE.gcl...\n"
@@ -85,7 +88,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   prover::ProveOptions opts;
-  opts.budget = cli.get_size("budget", opts.budget);
+  opts.budget = *budget;
 
   bool all_proved = true;
   for (const std::string& path : cli.positional()) {

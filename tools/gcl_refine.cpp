@@ -24,6 +24,7 @@
 // (an unknown option or an unreadable file included).
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,7 +43,9 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv, {});
   const std::string unknown = cli.unknown_option({"alpha", "budget", "format"});
   if (!unknown.empty()) std::fprintf(stderr, "gcl_refine: unknown option --%s\n", unknown.c_str());
-  if (!unknown.empty() || cli.positional().size() != 2) {
+  const std::optional<std::size_t> budget = cli.get_count("budget", prover::RefineOptions{}.budget);
+  if (!budget) std::fprintf(stderr, "gcl_refine: --budget takes a whole number of at least 1\n");
+  if (!unknown.empty() || !budget || cli.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: gcl_refine [--alpha FILE] [--budget N] "
                  "[--format text|json|sarif] ABSTRACT.gcl CONCRETE.gcl\n"
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   prover::RefineOptions opts;
-  opts.budget = cli.get_size("budget", opts.budget);
+  opts.budget = *budget;
   prover::RefineResult result = prover::prove_refinement(c_ast, a_ast, alpha, opts);
 
   // Never report an unvalidated proof.
